@@ -7,6 +7,8 @@ is a two-layer affine+relu bottleneck, but any differentiable callable
 of matching width works.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -14,9 +16,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, FormatError
-from .normalization import BatchNormParams, LayerNormParams, batch_norm, layer_norm
+from .normalization import BatchNormParams, LayerNormParams, combine_norm
 from .ratio import RatioWitness, ratio_general
-from .tensor import Tensor, add, ewmul, matmul, relu, scale
+from .tensor import Tensor, add, matmul, relu
 
 __all__ = [
     "SkipKind",
@@ -67,16 +69,16 @@ class SkipConstruction:
 
     def __post_init__(self):
         if self.kind in _SCALED_KINDS:
-            if self.lam <= 0:
-                raise ConfigError(f"{self.kind.value} requires lambda > 0, got {self.lam}")
+            if not (math.isfinite(self.lam) and self.lam > 0):
+                raise ConfigError(f"{self.kind.value} requires finite lambda > 0, got {self.lam}")
         elif self.kind in _RECURSIVE_KINDS:
             if self.lam < 1 or not float(self.lam).is_integer():
                 raise ConfigError(f"{self.kind.value} requires integer lambda >= 1, got {self.lam}")
         elif self.lam != 1.0:
             raise ConfigError(f"{self.kind.value} does not use lambda; leave it at 1")
         if self.kind is SkipKind.CONTRACTED_F_LN:
-            if self.residual_scale <= 0:
-                raise ConfigError(f"residual_scale must be positive, got {self.residual_scale}")
+            if not (math.isfinite(self.residual_scale) and self.residual_scale > 0):
+                raise ConfigError(f"residual_scale must be finite and positive, got {self.residual_scale}")
         elif self.residual_scale != 1.0:
             raise ConfigError(f"{self.kind.value} does not use residual_scale; leave it at 1")
 
@@ -157,14 +159,14 @@ class SkipConstruction:
         residual_scale = None
         if ":" in token:
             token, _, suffix = token.partition(":")
-            residual_scale = float(suffix)
+            residual_scale = _parse_number(suffix, f"residual scale in {token}:{suffix}")
         head = token
         digits = ""
         while head and (head[0].isdigit() or head[0] == "."):
             digits += head[0]
             head = head[1:]
         if digits:
-            lam = float(digits)
+            lam = _parse_number(digits, f"lambda prefix of {token!r}")
         try:
             kind = SkipKind(head)
         except ValueError:
@@ -178,6 +180,13 @@ class SkipConstruction:
         if kind is SkipKind.CONTRACTED_F_LN and residual_scale is not None:
             kwargs["residual_scale"] = residual_scale
         return cls(kind, **kwargs)
+
+
+def _parse_number(text, what):
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse the {what}: {text!r} is not a number") from None
 
 
 # damping on the branch's output layer at init: a freshly built branch
@@ -257,35 +266,22 @@ class ResidualBlock:
         """
         if x.data.ndim != 2 or (self.width is not None and x.data.shape[1] != self.width):
             raise DimensionError(f"block expects [batch, {self.width}] input, got {x.data.shape}")
-        c = self.construction
-        k = c.kind
+        kind = self.construction.kind
         f = self.branch(x)
         if branch_out is not None:
             branch_out.append(f)
 
-        if k is SkipKind.PLAIN:
+        if kind is SkipKind.PLAIN:
             return add(x, f)
-        if k is SkipKind.XSKIP:
-            return add(scale(x, c.lam), f)
-        if k is SkipKind.XSKIP_LN:
-            return layer_norm(add(scale(x, c.lam), f), self.norms[0], stats_out)
-        if k is SkipKind.WSKIP_LN:
-            return layer_norm(add(ewmul(x, self.w_skip), f), self.norms[0], stats_out)
-        if k is SkipKind.CONTRACTED_F_LN:
-            return layer_norm(add(x, scale(f, c.residual_scale)), self.norms[0], stats_out)
-        if k is SkipKind.XSKIP_BN:
-            return batch_norm(add(scale(x, c.lam), f), self.norms[0])
-        if k is SkipKind.RSKIP_LN:
-            y = layer_norm(add(x, f), self.norms[0], stats_out)
-            for p in self.norms[1:]:
-                y = layer_norm(add(x, y), p, stats_out)
-            return y
-        if k is SkipKind.RSKIP_BN:
-            y = batch_norm(add(x, f), self.norms[0])
-            for p in self.norms[1:]:
-                y = batch_norm(add(x, y), p)
-            return y
-        raise ConfigError(f"unhandled construction kind {k}")
+        # y_k = N_k(a*x + c*y_{k-1}) with y_0 = F(x), one level per norm
+        if kind is SkipKind.WSKIP_LN:
+            a = self.w_skip
+        else:
+            a = self.construction.lam if kind in _SCALED_KINDS else 1.0
+        y = f
+        for norm in self.norms or [None]:
+            y = combine_norm(x, y, a, self.construction.residual_scale, norm, stats_out)
+        return y
 
     __call__ = forward
 
@@ -450,13 +446,28 @@ def build_model(cfg, seed):
     return ResidualModel(in_w, in_b, blocks, out_w, out_b, config=cfg)
 
 
-# checkpoint layout: magic, version, construction, geometry, then every
-# parameter in declaration order as little-endian doubles
+# checkpoint layout: magic, version, construction, geometry, parameter
+# count, then every parameter in declaration order as little-endian
+# doubles. Version 2 appends the running mean and variance of every batch
+# norm, block by block and level by level; version 1 files, which lack
+# them, are read only for kinds without batch norm.
 _MAGIC = b"SKNM"
-_VERSION = 1
+_VERSION = 2
 _KIND_CODES = {k: i for i, k in enumerate(SkipKind)}
 _CODE_KINDS = {i: k for k, i in _KIND_CODES.items()}
 _HEADER = struct.Struct("<4sII d d IIIII Q")
+
+
+def _param_count(cfg):
+    """Doubles in the parameters of a model of this geometry."""
+    c, w, h = cfg.construction, cfg.width, cfg.hidden
+    per_block = 2 * w * h + h + w + 2 * w * c.levels + (w if c.kind is SkipKind.WSKIP_LN else 0)
+    return cfg.d_in * w + w + cfg.depth * per_block + w * cfg.classes + cfg.classes
+
+
+def _stats_count(cfg):
+    """Doubles of batch-norm running statistics a checkpoint carries."""
+    return 2 * cfg.depth * cfg.construction.levels * cfg.width if cfg.construction.uses_bn else 0
 
 
 def save_model(model, path):
@@ -464,9 +475,12 @@ def save_model(model, path):
     cfg = model.config
     if cfg is None:
         raise ContractError("only models carrying a ModelConfig can be checkpointed")
-    payload = b"".join(
-        np.ascontiguousarray(p.data, dtype="<f8").tobytes() for _, p, _ in model.parameters()
-    )
+    arrays = [p.data for _, p, _ in model.parameters()]
+    for block in model.blocks:
+        for p in block.norms:
+            if isinstance(p, BatchNormParams):
+                arrays += [p.running_mean, p.running_var]
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -486,32 +500,75 @@ def save_model(model, path):
 
 
 def load_model(path):
-    """Rebuild a model from a checkpoint; returns (model, config)."""
+    """Rebuild a model from a checkpoint; returns (model, config).
+
+    The header is validated, and checked against the file length, before
+    the payload is read or anything is allocated; parameters are then
+    filled straight from the payload.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        cfg = _read_header(path, head)
+        expected = _HEADER.size + 8 * (_param_count(cfg) + _stats_count(cfg))
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FormatError(f"{path}: expected {expected} bytes, found {size}")
+        payload = fh.read()
+    if len(payload) != expected - _HEADER.size:
+        raise FormatError(f"{path}: expected {expected} bytes, read {_HEADER.size + len(payload)}")
+    return _read_model(cfg, payload), cfg
+
+
+def _read_header(path, head):
+    """The model config a valid checkpoint header declares."""
     magic, version, kind_code, lam, residual_scale, depth, d_in, width, hidden, classes, count = (
-        _HEADER.unpack_from(raw)
+        _HEADER.unpack(head)
     )
     if magic != _MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != _VERSION:
+    if version not in (1, _VERSION):
         raise FormatError(f"{path}: unsupported version {version}")
     if kind_code not in _CODE_KINDS:
         raise FormatError(f"{path}: unknown construction code {kind_code}")
-    construction = SkipConstruction(_CODE_KINDS[kind_code], lam, residual_scale)
-    cfg = ModelConfig(construction, depth, d_in, width, hidden, classes)
-    model = build_model(cfg, seed=0)
-    if model.param_count() != count:
-        raise FormatError(f"{path}: header declares {count} doubles, model has {model.param_count()}")
-    expected = _HEADER.size + 8 * count
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    offset = _HEADER.size
-    for _, p, _ in model.parameters():
-        n = p.data.size
-        vals = np.frombuffer(raw, dtype="<f8", count=n, offset=offset)
-        p.data = vals.astype(np.float64).reshape(p.data.shape)
-        offset += 8 * n
-    return model, cfg
+    try:
+        construction = SkipConstruction(_CODE_KINDS[kind_code], lam, residual_scale)
+        cfg = ModelConfig(construction, depth, d_in, width, hidden, classes)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: invalid header: {exc}") from exc
+    if count != _param_count(cfg):
+        raise FormatError(f"{path}: header declares {count} doubles, its geometry needs {_param_count(cfg)}")
+    if version < 2 and construction.uses_bn:
+        raise FormatError(
+            f"{path}: version {version} checkpoint of {construction.label()} lacks batch-norm running statistics"
+        )
+    return cfg
+
+
+def _read_model(cfg, payload):
+    """Assemble a model of a validated geometry from checkpoint payload bytes."""
+    offsets = [0, 8 * _param_count(cfg)]  # parameters, then statistics
+
+    def take(section, *shape):
+        n = math.prod(shape)
+        values = np.frombuffer(payload, dtype="<f8", count=n, offset=offsets[section])
+        offsets[section] += 8 * n
+        return values.astype(np.float64).reshape(shape)
+
+    def param(*shape):
+        return Tensor(take(0, *shape), requires_grad=True)
+
+    c, w, h = cfg.construction, cfg.width, cfg.hidden
+    in_w, in_b = param(cfg.d_in, w), param(w)
+    blocks = []
+    for _ in range(cfg.depth):
+        branch = AffineReluBranch(param(w, h), param(h), param(h, w), param(w))
+        if c.uses_bn:
+            norms = [BatchNormParams(param(w), param(w), take(1, w), take(1, w)) for _ in range(c.levels)]
+        else:
+            norms = [LayerNormParams(param(w), param(w)) for _ in range(c.levels)]
+        w_skip = param(w) if c.kind is SkipKind.WSKIP_LN else None
+        blocks.append(ResidualBlock(c, branch, norms, w_skip, width=w))
+    out_w, out_b = param(w, cfg.classes), param(cfg.classes)
+    return ResidualModel(in_w, in_b, blocks, out_w, out_b, config=cfg)

@@ -20,6 +20,7 @@ from .tensor import (
     ewmul,
     gradcheck,
     matmul,
+    no_grad,
     relu,
     scale,
     softmax_cross_entropy,
@@ -108,7 +109,8 @@ def effective_scale_sweep(model, batches):
     """Per-block effective scale averaged over a set of input batches.
 
     Only defined for the shortcut-bearing layer-normalized kinds; the
-    per-block value is row-weighted across batches.
+    per-block value is row-weighted across batches. Forward-only, so no
+    tape is recorded.
     """
     if not model.blocks:
         raise ContractError("effective_scale_sweep needs at least one block")
@@ -124,9 +126,10 @@ def effective_scale_sweep(model, batches):
         x = batch[0] if isinstance(batch, tuple) else batch
         x = np.asarray(x, dtype=np.float64)
         ins = []
-        model.forward(Tensor(x), block_inputs=ins)
-        for i, (block, h) in enumerate(zip(model.blocks, ins)):
-            totals[i] += effective_scale(block, Tensor(h.data)) * x.shape[0]
+        with no_grad():
+            model.forward(Tensor(x), block_inputs=ins)
+            for i, (block, h) in enumerate(zip(model.blocks, ins)):
+                totals[i] += effective_scale(block, Tensor(h.data)) * x.shape[0]
         samples += x.shape[0]
     if samples == 0:
         raise ContractError("effective_scale_sweep needs a nonempty sample set")
@@ -336,7 +339,8 @@ def decomposition_check(lams=(1, 2, 3, 4), width=8, instances=100, seed=0, batch
                     size=getattr(block.branch, name).data.shape
                 )
             x = Tensor(rng.normal(0.0, 1.0, (batch, width)))
-            y, f, witness = block.witness(x)
+            with no_grad():
+                y, f, witness = block.witness(x)
             coef_x, coef_f, const = unroll_decompose(witness, x.data, f.data)
             rebuilt = coef_x * x.data + coef_f * f.data + const
             worst_rec = max(worst_rec, float(np.abs(rebuilt - y.data).max()))

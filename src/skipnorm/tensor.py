@@ -6,12 +6,24 @@ backward rule as a closure over the saved forward values. Calling
 strict reverse creation order, accumulating gradients additively into
 ``.grad`` of every node that requires them (intermediates included).
 
+Inside ``with no_grad():`` operations compute the same values but record
+nothing: their outputs do not require grad, hold no parents and no
+backward closure, so every intermediate is freed as soon as it is no
+longer referenced. Evaluation, sweeps and finite differences use it.
+
+``.grad`` owns its buffer. The first contribution a tensor receives is
+copied, and later ones are added into that copy in place, so one array
+may be handed to several tensors as their upstream gradient without
+their gradients ever aliasing. Code that assigns ``.grad`` directly
+hands that array over to the tensor.
+
 Everything is double precision. Broadcasting is deliberately restricted
 to the one pattern the residual constructions need: a 1-D vector of
 length ``d`` combined with an array whose trailing axis is ``d``.
 """
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +41,23 @@ __all__ = [
     "softmax_cross_entropy",
     "gradcheck",
     "GradCheckReport",
+    "no_grad",
 ]
 
 _ids = itertools.count()
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block; values are unchanged. The switch
+    is process-wide, not per thread."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -41,17 +67,19 @@ class Tensor:
     accumulates additively, so two backward passes without a reset sum
     their contributions. Leaf tensors are created directly; interior
     nodes are created by the operations below and carry a backward
-    closure plus references to their parents.
+    closure plus references to their parents. An interior node that
+    does not require grad, or is made under :func:`no_grad`, keeps
+    neither.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_id")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _op="leaf"):
+    def __init__(self, data, requires_grad=False, _parents=(), _op="leaf", _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = tuple(_parents)
-        self._backward = None
+        self.requires_grad = bool(requires_grad) and (_recording or not _parents)
+        self._parents = tuple(_parents) if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
         self._op = _op
         self._id = next(_ids)
 
@@ -66,7 +94,7 @@ class Tensor:
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64, copy=True)
         else:
-            self.grad = self.grad + g
+            self.grad += g
 
     def backward(self, seed=None):
         """Run reverse-mode differentiation from this node.
@@ -156,41 +184,35 @@ def add(a, b):
     """Elementwise sum, the additive combination of shortcut and residual."""
     a, b = _as_tensor(a), _as_tensor(b)
     broadcast = _check_binary_shapes(a, b, "add")
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad, (a, b), "add")
 
     def backward(g):
         _accumulate(a, g)
         _accumulate(b, _reduce_to_vector(g, a.data.ndim) if broadcast else g)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data + b.data, a.requires_grad or b.requires_grad, (a, b), "add", backward)
 
 
 def scale(a, c):
     """Multiply by a fixed real scalar (the shortcut modulating factor)."""
     c = float(c)
-    out = Tensor(c * a.data, a.requires_grad, (a,), "scale")
 
     def backward(g):
         _accumulate(a, c * g)
 
-    out._backward = backward
-    return out
+    return Tensor(c * a.data, a.requires_grad, (a,), "scale", backward)
 
 
 def ewmul(a, b):
     """Entrywise product; b may be a per-feature vector."""
     a, b = _as_tensor(a), _as_tensor(b)
     broadcast = _check_binary_shapes(a, b, "ewmul")
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad, (a, b), "ewmul")
 
     def backward(g):
         _accumulate(a, g * b.data)
         gb = g * a.data
         _accumulate(b, _reduce_to_vector(gb, a.data.ndim) if broadcast else gb)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data * b.data, a.requires_grad or b.requires_grad, (a, b), "ewmul", backward)
 
 
 def matmul(a, b):
@@ -198,37 +220,31 @@ def matmul(a, b):
         raise DimensionError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul inner extents disagree: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad, (a, b), "matmul")
 
     def backward(g):
         _accumulate(a, g @ b.data.T)
         _accumulate(b, a.data.T @ g)
 
-    out._backward = backward
-    return out
+    return Tensor(a.data @ b.data, a.requires_grad or b.requires_grad, (a, b), "matmul", backward)
 
 
 def relu(a):
     # gradient at exactly 0 is defined as 0, hence the strict inequality
     mask = a.data > 0.0
-    out = Tensor(np.where(mask, a.data, 0.0), a.requires_grad, (a,), "relu")
 
     def backward(g):
         _accumulate(a, g * mask)
 
-    out._backward = backward
-    return out
+    return Tensor(np.where(mask, a.data, 0.0), a.requires_grad, (a,), "relu", backward)
 
 
 def tsum(a):
     """Sum of all entries, as a scalar tensor."""
-    out = Tensor(a.data.sum(), a.requires_grad, (a,), "sum")
 
     def backward(g):
         _accumulate(a, np.broadcast_to(g, a.data.shape))
 
-    out._backward = backward
-    return out
+    return Tensor(a.data.sum(), a.requires_grad, (a,), "sum", backward)
 
 
 def softmax_cross_entropy(logits, labels):
@@ -251,17 +267,13 @@ def softmax_cross_entropy(logits, labels):
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logprobs = shifted - logsumexp
     loss = -logprobs[np.arange(batch), labels].mean()
-    out = Tensor(loss, logits.requires_grad, (logits,), "softmax_xent")
-
-    softmax = np.exp(logprobs)
 
     def backward(g):
-        delta = softmax.copy()
+        delta = np.exp(logprobs)
         delta[np.arange(batch), labels] -= 1.0
         _accumulate(logits, float(g) * delta / batch)
 
-    out._backward = backward
-    return out
+    return Tensor(loss, logits.requires_grad, (logits,), "softmax_xent", backward)
 
 
 @dataclass
@@ -281,9 +293,10 @@ def gradcheck(f, inputs, eps=1e-5, tol=1e-4):
     """Check analytic gradients of a scalar-valued tensor function.
 
     Every coordinate of every input is perturbed by +-eps and the
-    central difference is compared against the gradient produced by
-    ``backward()``. Relative error is |a - n| / max(1e-8, |a| + |n|);
-    the check passes iff the maximum over all coordinates is <= tol.
+    central difference, evaluated without a tape, is compared against
+    the gradient produced by ``backward()``. Relative error is
+    |a - n| / max(1e-8, |a| + |n|); the check passes iff the maximum
+    over all coordinates is <= tol.
     """
     inputs = list(inputs)
     for t in inputs:
@@ -297,20 +310,21 @@ def gradcheck(f, inputs, eps=1e-5, tol=1e-4):
     ]
 
     per_input = []
-    for t, a in zip(inputs, analytic):
-        worst = 0.0
-        flat = t.data.reshape(-1)
-        aflat = a.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = float(f(*inputs).data)
-            flat[i] = orig - eps
-            fm = float(f(*inputs).data)
-            flat[i] = orig
-            n = (fp - fm) / (2.0 * eps)
-            rel = abs(aflat[i] - n) / max(1e-8, abs(aflat[i]) + abs(n))
-            worst = max(worst, rel)
-        per_input.append(worst)
+    with no_grad():
+        for t, a in zip(inputs, analytic):
+            worst = 0.0
+            flat = t.data.reshape(-1)
+            aflat = a.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                fp = float(f(*inputs).data)
+                flat[i] = orig - eps
+                fm = float(f(*inputs).data)
+                flat[i] = orig
+                n = (fp - fm) / (2.0 * eps)
+                rel = abs(aflat[i] - n) / max(1e-8, abs(aflat[i]) + abs(n))
+                worst = max(worst, rel)
+            per_input.append(worst)
 
     return GradCheckReport(max(per_input, default=0.0), tol, per_input)

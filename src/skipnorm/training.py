@@ -16,7 +16,7 @@ import numpy as np
 
 from .blocks import ModelConfig, build_model
 from .errors import ConfigError
-from .tensor import Tensor, softmax_cross_entropy
+from .tensor import Tensor, no_grad, softmax_cross_entropy
 
 __all__ = [
     "TrainConfig",
@@ -115,7 +115,8 @@ def sgd_step(params, velocity, lr, momentum, weight_decay):
 
     Weight decay is added to the gradient only where the decay flag is
     set; normalization gains/biases and w_skip carry decay=False and are
-    never decayed. Velocity buffers are updated in place.
+    never decayed. Velocity buffers and parameter arrays are updated in
+    place.
     """
     for (_, p, decay), v in zip(params, velocity):
         g = p.grad
@@ -123,18 +124,19 @@ def sgd_step(params, velocity, lr, momentum, weight_decay):
             g = g + weight_decay * p.data
         v *= momentum
         v += g
-        p.data = p.data - lr * v
+        p.data -= lr * v
 
 
 def evaluate_loss(model, x, y, batch_size=256):
-    """Mean cross-entropy over a labeled set, batch norms in inference mode.
+    """Mean cross-entropy over a labeled set, batch norms in inference
+    mode, evaluated without a tape.
 
     A diverging model evaluates to inf rather than warning; the curves
     carry such entries as data.
     """
     model.set_norm_mode("inference")
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), no_grad():
         for sl in _batched(len(x), batch_size):
             loss = softmax_cross_entropy(model.forward(Tensor(x[sl])), y[sl])
             total += float(loss.data) * (sl.stop - sl.start)
@@ -142,10 +144,11 @@ def evaluate_loss(model, x, y, batch_size=256):
 
 
 def evaluate_error(model, x, y, batch_size=256):
-    """Top-1 classification error rate, batch norms in inference mode."""
+    """Top-1 classification error rate, batch norms in inference mode,
+    evaluated without a tape."""
     model.set_norm_mode("inference")
     wrong = 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), no_grad():
         for sl in _batched(len(x), batch_size):
             logits = model.forward(Tensor(x[sl]))
             wrong += int((np.argmax(logits.data, axis=1) != y[sl]).sum())

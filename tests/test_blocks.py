@@ -1,5 +1,7 @@
 """Block constructions: equivalences, parameter ownership, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from skipnorm import (
     save_model,
     tsum,
 )
+from skipnorm import blocks
 from skipnorm.tensor import add
 
 
@@ -105,6 +108,21 @@ class TestSkipConstruction:
             SkipConstruction.parse("bogus")
         with pytest.raises(ConfigError):
             SkipConstruction.parse("2plain")
+
+    @pytest.mark.parametrize("token", ["2.5.1xskip", "..xskip-ln", "contracted-f-ln:abc", "contracted-f-ln:"])
+    def test_parse_rejects_malformed_numbers_with_config_error(self, token):
+        with pytest.raises(ConfigError, match="not a number"):
+            SkipConstruction.parse(token)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scales_rejected(self, bad):
+        for kind in (SkipKind.XSKIP, SkipKind.XSKIP_LN, SkipKind.XSKIP_BN, SkipKind.RSKIP_LN):
+            with pytest.raises(ConfigError):
+                SkipConstruction(kind, lam=bad)
+        with pytest.raises(ConfigError):
+            SkipConstruction(SkipKind.CONTRACTED_F_LN, residual_scale=bad)
+        with pytest.raises(ConfigError):
+            SkipConstruction.parse(f"contracted-f-ln:{bad}")
 
 
 class TestBlockEquivalences:
@@ -389,3 +407,117 @@ class TestCheckpoints:
         model = ResidualModel(leaf(np.zeros((2, 4))), leaf(np.zeros(4)), [], leaf(np.zeros((4, 2))), leaf(np.zeros(2)))
         with pytest.raises(ContractError):
             save_model(model, tmp_path / "model.bin")
+
+
+def header_fields(raw):
+    return list(blocks._HEADER.unpack_from(raw))
+
+
+def with_header(raw, **changes):
+    names = ["magic", "version", "kind", "lam", "residual_scale", "depth", "d_in", "width", "hidden", "classes", "count"]
+    fields = header_fields(raw)
+    for name, value in changes.items():
+        fields[names.index(name)] = value
+    return blocks._HEADER.pack(*fields) + raw[blocks._HEADER.size:]
+
+
+def load_peak_bytes(path):
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as info:
+            load_model(path)
+        return tracemalloc.get_traced_memory()[1], info.value
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckpointFormat:
+    def trained(self, token):
+        from skipnorm import DatasetSpec, TrainConfig, gen_synthetic, train
+
+        data = gen_synthetic(DatasetSpec("spiral", classes=3, n_train=64, n_test=32, noise=0.2, seed=2))
+        cfg = TrainConfig(SkipConstruction.parse(token), depth=3, width=6, hidden=5, epochs=2, batch_size=16, lr=0.02, seed=2)
+        return train(cfg, data)[1], data
+
+    @pytest.mark.parametrize("token", ["2rskip-bn", "2xskip-bn"])
+    def test_batch_norm_statistics_survive_a_round_trip(self, tmp_path, token):
+        model, data = self.trained(token)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        loaded, _ = load_model(path)
+        for block, twin in zip(model.blocks, loaded.blocks):
+            for p, q in zip(block.norms, twin.norms):
+                assert p.running_mean.tobytes() == q.running_mean.tobytes()
+                assert p.running_var.tobytes() == q.running_var.tobytes()
+        model.set_norm_mode("inference")
+        loaded.set_norm_mode("inference")
+        expected = model.forward(data.x_test).data
+        assert loaded.forward(data.x_test).data.tobytes() == expected.tobytes()
+
+    def test_only_batch_norm_checkpoints_carry_statistics(self, tmp_path):
+        for token, stats in (("2rskip-bn", 2 * 2 * 6 * 3), ("2rskip-ln", 0), ("wskip-ln", 0)):
+            model, _ = self.trained(token)
+            path = tmp_path / "model.bin"
+            save_model(model, path)
+            assert path.stat().st_size == blocks._HEADER.size + 8 * (model.param_count() + stats)
+
+    def test_version_1_is_read_only_without_batch_norm(self, tmp_path):
+        path = tmp_path / "model.bin"
+        model, _ = self.trained("2rskip-ln")
+        save_model(model, path)
+        path.write_bytes(with_header(path.read_bytes(), version=1))
+        loaded, _ = load_model(path)
+        assert [p.data.tobytes() for _, p, _ in loaded.parameters()] == [
+            p.data.tobytes() for _, p, _ in model.parameters()
+        ]
+        model, _ = self.trained("2rskip-bn")
+        save_model(model, path)
+        v1 = with_header(path.read_bytes(), version=1)[: blocks._HEADER.size + 8 * model.param_count()]
+        path.write_bytes(v1)
+        with pytest.raises(FormatError, match="running statistics"):
+            load_model(path)
+
+    def test_loading_builds_no_random_initialisation(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        model, _ = self.trained("wskip-ln")
+        save_model(model, path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("load_model drew a random initialisation")
+
+        monkeypatch.setattr(blocks, "build_model", forbidden)
+        monkeypatch.setattr(blocks.AffineReluBranch, "init", classmethod(forbidden))
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        loaded, cfg = load_model(path)
+        assert cfg == model.config
+        for (name, p, decay), (_, q, decay_q) in zip(model.parameters(), loaded.parameters()):
+            assert p.data.tobytes() == q.data.tobytes() and decay == decay_q, name
+            assert q.data.flags.writeable and q.requires_grad
+
+    @pytest.mark.parametrize("field, value", [("width", 6000), ("depth", 100000), ("hidden", 50000), ("d_in", 0), ("depth", 0)])
+    def test_corrupted_geometry_fails_before_allocating(self, tmp_path, field, value):
+        path = tmp_path / "model.bin"
+        cfg = ModelConfig(SkipConstruction(SkipKind.RSKIP_BN, lam=2), 2, 2, 8, 6, 3)
+        save_model(build_model(cfg, seed=0), path)
+        raw = path.read_bytes()
+        path.write_bytes(with_header(raw, **{field: value}))
+        peak, _ = load_peak_bytes(path)
+        assert peak < 4 * len(raw) + 64 * 1024
+        # a count rewritten to agree with the corrupted geometry is caught
+        # by the file length instead
+        if value:
+            forged = ModelConfig(cfg.construction, **{**dict(depth=2, d_in=2, width=8, hidden=6, classes=3), field: value})
+            path.write_bytes(with_header(raw, **{field: value, "count": blocks._param_count(forged)}))
+            peak, error = load_peak_bytes(path)
+            assert "bytes" in str(error)
+            assert peak < 4 * len(raw) + 64 * 1024
+
+    def test_corrupted_construction_fields_raise_format_error(self, tmp_path):
+        path = tmp_path / "model.bin"
+        cfg = ModelConfig(SkipConstruction(SkipKind.XSKIP_LN, lam=2.0), 1, 2, 4, 4, 2)
+        save_model(build_model(cfg, seed=0), path)
+        raw = path.read_bytes()
+        for changes in (dict(lam=float("nan")), dict(lam=float("inf")), dict(residual_scale=2.0), dict(kind=99)):
+            path.write_bytes(with_header(raw, **changes))
+            with pytest.raises(FormatError):
+                load_model(path)

@@ -159,3 +159,16 @@ class TestErrorPaths:
         rc = cli.main(["matrix", "--construction", "xskip", "--lambda", "two"] + TINY)
         assert rc == 2
         assert "lambda" in capsys.readouterr().err
+
+
+class TestMalformedConstructions:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--construction", "2.5.1xskip"],
+        ["train", "--construction", "contracted-f-ln:abc"],
+        ["train", "--construction", "xskip", "--lambda", "nan"],
+        ["matrix", "--construction", "xskip-ln", "--lambda", "inf", "--runs", "1"],
+    ])
+    def test_exit_2_without_traceback(self, argv, capsys):
+        assert cli.main(argv + TINY) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
