@@ -332,8 +332,14 @@ def effective_scale(block, x):
         if not isinstance(x, Tensor):
             x = Tensor(x)
         _, _, wit = block.witness(x)
-        return float(ratio_general(wit).mean())
+        return _witness_scale(wit)
     raise ContractError(f"effective scale is undefined for {block.construction.label()}")
+
+
+def _witness_scale(witness):
+    """Effective scale of a recursive block from its captured witness:
+    the closed-form ratio averaged over rows and features."""
+    return float(ratio_general(witness).mean())
 
 
 @dataclass(frozen=True)
@@ -352,6 +358,8 @@ class ModelConfig:
         for name in ("d_in", "width", "hidden", "classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if not math.isfinite(self.w_skip_init):
+            raise ConfigError(f"w_skip_init must be a finite number, got {self.w_skip_init}")
 
 
 class ResidualModel:
@@ -369,9 +377,7 @@ class ResidualModel:
         The optional lists receive each block's input/output tensor so
         diagnostics can read their gradients after backward.
         """
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        h = add(matmul(x, self.in_w), self.in_b)
+        h = self.project_in(x)
         for block in self.blocks:
             if block_inputs is not None:
                 block_inputs.append(h)
@@ -381,6 +387,12 @@ class ResidualModel:
         return add(matmul(h, self.out_w), self.out_b)
 
     __call__ = forward
+
+    def project_in(self, x):
+        """The input projection x @ in_w + in_b: the first block's input."""
+        if not isinstance(x, Tensor):
+            x = Tensor(x)
+        return add(matmul(x, self.in_w), self.in_b)
 
     def parameters(self):
         yield "in_proj.w", self.in_w, True

@@ -21,15 +21,11 @@ from .blocks import ModelConfig, SkipConstruction, build_model, load_model, save
 from .data import DatasetSpec, gen_synthetic, load_cifar10
 from .diagnostics import decomposition_check, gradcheck_battery, gradient_norm_sweep
 from .errors import ConfigError, ContractError, DimensionError, FormatError
-from .training import TrainConfig, curves_csv, matrix_csv, run_matrix, train, write_manifest
+from .training import TrainConfig, _fmt, curves_csv, matrix_csv, run_matrix, train, write_manifest
 
 DATA_DIR_ENV = "SKIPNORM_DATA_DIR"
 
 __all__ = ["main", "DATA_DIR_ENV"]
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _parse_lams(text):

@@ -5,6 +5,7 @@ loader for the CIFAR-10 binary batch format. Everything is double
 precision and reproducible from an explicit seed.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -44,8 +45,8 @@ class DatasetSpec:
             raise ConfigError("cifar10 has exactly 10 classes")
         if self.n_train < 1 or self.n_test < 1:
             raise ConfigError("train and test sample counts must be positive")
-        if self.noise < 0:
-            raise ConfigError("noise level cannot be negative")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(f"noise level must be finite and non-negative, got {self.noise}")
 
 
 @dataclass

@@ -10,12 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import SkipConstruction, SkipKind, build_block, effective_scale
+from .blocks import SkipConstruction, SkipKind, _witness_scale, build_block, effective_scale
 from .errors import ContractError
 from .normalization import BatchNormParams, LayerNormParams, batch_norm, layer_norm
 from .ratio import ratio_general, unroll_decompose
 from .tensor import (
     Tensor,
+    _check_matmul_shapes,
     add,
     ewmul,
     gradcheck,
@@ -109,8 +110,14 @@ def effective_scale_sweep(model, batches):
     """Per-block effective scale averaged over a set of input batches.
 
     Only defined for the shortcut-bearing layer-normalized kinds; the
-    per-block value is row-weighted across batches. Forward-only, so no
-    tape is recorded.
+    per-block value is row-weighted across batches. ``batches`` holds
+    input arrays or (inputs, labels) pairs. A batch costs at most one
+    forward, and no tape: for rSkip+LN, whose scale depends on the
+    input, each block's witness is captured during the one pass that
+    produces the block inputs, and the output projection is never
+    computed. xSkip+LN and wSkip+LN, whose scale (lambda, or the mean
+    of ``w_skip``) does not depend on the input, run no forward; their
+    batches are only checked for the shape a forward would accept.
     """
     if not model.blocks:
         raise ContractError("effective_scale_sweep needs at least one block")
@@ -120,22 +127,41 @@ def effective_scale_sweep(model, batches):
     batches = list(batches)
     if not batches:
         raise ContractError("effective_scale_sweep needs a nonempty sample set")
+    recursive = any(block.construction.kind is SkipKind.RSKIP_LN for block in model.blocks)
+    fixed = None if recursive else [effective_scale(block, None) for block in model.blocks]
     totals = [0.0] * len(model.blocks)
     samples = 0
     for batch in batches:
         x = batch[0] if isinstance(batch, tuple) else batch
         x = np.asarray(x, dtype=np.float64)
-        ins = []
-        with no_grad():
-            model.forward(Tensor(x), block_inputs=ins)
-            for i, (block, h) in enumerate(zip(model.blocks, ins)):
-                totals[i] += effective_scale(block, Tensor(h.data)) * x.shape[0]
+        if fixed is None:
+            scales = _witness_scales(model, x)
+        else:
+            _check_matmul_shapes(x, model.in_w.data)
+            scales = fixed
+        for i, s in enumerate(scales):
+            totals[i] += s * x.shape[0]
         samples += x.shape[0]
     if samples == 0:
         raise ContractError("effective_scale_sweep needs a nonempty sample set")
     per_block = tuple(t / samples for t in totals)
     label = model.blocks[0].construction.label()
     return ScaleReport(label, per_block, float(np.mean(per_block)), samples)
+
+
+def _witness_scales(model, x):
+    """Each block's effective scale on the rows of x, from one forward
+    through the blocks that captures every witness on the way."""
+    scales = []
+    with no_grad():
+        h = model.project_in(x)
+        for block in model.blocks:
+            h, _, witness = block.witness(h)
+            if block.construction.kind is SkipKind.RSKIP_LN:
+                scales.append(_witness_scale(witness))
+            else:
+                scales.append(effective_scale(block, None))
+    return scales
 
 
 def amplification_probe(construction, depth, width, batch=2, seed=0):

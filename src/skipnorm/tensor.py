@@ -215,11 +215,16 @@ def ewmul(a, b):
     return Tensor(a.data * b.data, a.requires_grad or b.requires_grad, (a, b), "ewmul", backward)
 
 
+def _check_matmul_shapes(a, b):
+    """Raise the DimensionError :func:`matmul` raises on arrays ``a @ b``."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
+
+
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(f"matmul inner extents disagree: {a.data.shape} @ {b.data.shape}")
+    _check_matmul_shapes(a.data, b.data)
 
     def backward(g):
         _accumulate(a, g @ b.data.T)
@@ -235,7 +240,13 @@ def relu(a):
     def backward(g):
         _accumulate(a, g * mask)
 
-    return Tensor(np.where(mask, a.data, 0.0), a.requires_grad, (a,), "relu", backward)
+    # bit-equal to np.where(mask, a, 0.0) and several times faster: fmax
+    # maps NaN and negatives to +0.0 but may keep a -0.0 input (numpy's
+    # scalar loop does, its SIMD loop does not), and adding +0.0 turns
+    # -0.0 into +0.0 while leaving every other value as it is
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
+    return Tensor(out, a.requires_grad, (a,), "relu", backward)
 
 
 def tsum(a):

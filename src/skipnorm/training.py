@@ -9,6 +9,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -56,6 +57,9 @@ class TrainConfig:
             raise ConfigError("epochs cannot be negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
+        for name in ("lr", "lr_decay", "momentum", "weight_decay", "w_skip_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.lr <= 0 or not 0 < self.lr_decay <= 1:
             raise ConfigError("learning rate must be positive and decay in (0, 1]")
         if not 0 <= self.momentum < 1:
@@ -127,32 +131,50 @@ def sgd_step(params, velocity, lr, momentum, weight_decay):
         p.data -= lr * v
 
 
-def evaluate_loss(model, x, y, batch_size=256):
+_EVAL_BATCH = 256
+
+
+def _eval_logits(model, x, batch_size):
+    """(slice, logits) for each batch of x, batch norms in inference
+    mode, evaluated without a tape."""
+    model.set_norm_mode("inference")
+    with np.errstate(over="ignore", invalid="ignore"), no_grad():
+        return [(sl, model.forward(Tensor(x[sl]))) for sl in _batched(len(x), batch_size)]
+
+
+def _mean_loss(logits, y):
+    """Mean cross-entropy of per-batch (slice, logits) against labels y."""
+    total, rows = 0.0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sl, z in logits:
+            total += float(softmax_cross_entropy(z, y[sl]).data) * (sl.stop - sl.start)
+            rows = sl.stop
+    return total / rows
+
+
+def _error_rate(logits, y):
+    """Top-1 error rate of per-batch (slice, logits) against labels y."""
+    wrong, rows = 0, 0
+    for sl, z in logits:
+        wrong += int((np.argmax(z.data, axis=1) != y[sl]).sum())
+        rows = sl.stop
+    return wrong / rows
+
+
+def evaluate_loss(model, x, y, batch_size=_EVAL_BATCH):
     """Mean cross-entropy over a labeled set, batch norms in inference
     mode, evaluated without a tape.
 
     A diverging model evaluates to inf rather than warning; the curves
     carry such entries as data.
     """
-    model.set_norm_mode("inference")
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"), no_grad():
-        for sl in _batched(len(x), batch_size):
-            loss = softmax_cross_entropy(model.forward(Tensor(x[sl])), y[sl])
-            total += float(loss.data) * (sl.stop - sl.start)
-    return total / len(x)
+    return _mean_loss(_eval_logits(model, x, batch_size), y)
 
 
-def evaluate_error(model, x, y, batch_size=256):
+def evaluate_error(model, x, y, batch_size=_EVAL_BATCH):
     """Top-1 classification error rate, batch norms in inference mode,
     evaluated without a tape."""
-    model.set_norm_mode("inference")
-    wrong = 0
-    with np.errstate(over="ignore", invalid="ignore"), no_grad():
-        for sl in _batched(len(x), batch_size):
-            logits = model.forward(Tensor(x[sl]))
-            wrong += int((np.argmax(logits.data, axis=1) != y[sl]).sum())
-    return wrong / len(x)
+    return _error_rate(_eval_logits(model, x, batch_size), y)
 
 
 def train(cfg, data):
@@ -177,6 +199,7 @@ def train(cfg, data):
 
     train_curve, val_curve = [], []
     diverged_epoch = None
+    logits = None  # of the test set, on the parameters after the last epoch
     for epoch in range(cfg.epochs):
         snapshot = [p.data.copy() for _, p, _ in params]
         lr = cfg.lr_at(epoch)
@@ -213,10 +236,16 @@ def train(cfg, data):
             val_curve.extend([float("inf")] * pad)
             break
         train_curve.append(loss_sum / seen)
-        val_curve.append(evaluate_loss(model, data.x_test, data.y_test))
+        logits = _eval_logits(model, data.x_test, _EVAL_BATCH)
+        val_curve.append(_mean_loss(logits, data.y_test))
 
     diverged = diverged_epoch is not None
-    error = 1.0 if diverged else evaluate_error(model, data.x_test, data.y_test)
+    if diverged:
+        error = 1.0
+    else:
+        if logits is None:
+            logits = _eval_logits(model, data.x_test, _EVAL_BATCH)
+        error = _error_rate(logits, data.y_test)
     result = RunResult(
         label=cfg.construction.label(),
         arch=cfg.construction.arch(),

@@ -291,6 +291,11 @@ class TestModel:
         with pytest.raises(ConfigError):
             ModelConfig(SkipConstruction(SkipKind.PLAIN), 0, 2, 8, 8, 3)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_w_skip_init_rejected(self, value):
+        with pytest.raises(ConfigError):
+            ModelConfig(SkipConstruction(SkipKind.WSKIP_LN), 2, 2, 8, 8, 3, w_skip_init=value)
+
     def test_block_width_mismatch_raises(self):
         block = fresh_block(SkipKind.XSKIP_LN, lam=2.0)
         with pytest.raises(DimensionError):

@@ -172,3 +172,20 @@ class TestMalformedConstructions:
         assert cli.main(argv + TINY) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--lr", "nan"]),
+        ("train", ["--lr", "inf"]),
+        ("train", ["--noise", "nan"]),
+        ("train", ["--construction", "wskip-ln", "--w-skip-init", "nan"]),
+        ("matrix", ["--runs", "1", "--lr", "nan"]),
+        ("gradnorm", ["--noise", "inf"]),
+    ])
+    def test_exit_2_without_traceback(self, command, flags, capsys):
+        # the flags come last, so they override the tiny defaults
+        tiny = TINY_NO_TRAIN if command == "gradnorm" else TINY
+        assert cli.main([command, "--construction", "xskip-ln"] + tiny + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err

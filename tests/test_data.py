@@ -47,6 +47,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             DatasetSpec("spiral", noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ConfigError):
+            DatasetSpec("spiral", noise=noise)
+
 
 class TestSynthetic:
     def test_same_spec_is_bit_reproducible(self):

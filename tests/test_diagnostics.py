@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skipnorm import (
     ContractError,
+    DimensionError,
     GradReport,
     ModelConfig,
+    ResidualBlock,
     ResidualModel,
     SkipConstruction,
     SkipKind,
@@ -14,9 +18,11 @@ from skipnorm import (
     amplification_probe,
     build_model,
     decomposition_check,
+    effective_scale,
     effective_scale_sweep,
     gradcheck_battery,
     gradient_norm_sweep,
+    no_grad,
 )
 
 
@@ -137,6 +143,103 @@ class TestEffectiveScaleSweep:
 
     def test_empty_batch_set_rejected(self):
         model = toy_model(SkipKind.XSKIP_LN, lam=2.0, depth=2)
+        with pytest.raises(ContractError):
+            effective_scale_sweep(model, [])
+
+
+def two_pass_scale_sweep(model, batches):
+    """The effective-scale sweep as two passes per batch: a full model
+    forward that collects the block inputs, then effective_scale on each
+    block input, which runs that block again for its witness."""
+    totals = [0.0] * len(model.blocks)
+    samples = 0
+    for batch in batches:
+        x = np.asarray(batch[0] if isinstance(batch, tuple) else batch, dtype=np.float64)
+        ins = []
+        with no_grad():
+            model.forward(Tensor(x), block_inputs=ins)
+            for i, (block, h) in enumerate(zip(model.blocks, ins)):
+                totals[i] += effective_scale(block, Tensor(h.data)) * x.shape[0]
+        samples += x.shape[0]
+    per_block = tuple(t / samples for t in totals)
+    return per_block, float(np.mean(per_block))
+
+
+def scale_model(construction, seed, depth=4):
+    """An untrained model with its norm parameters and skip gains moved
+    off their init, so every block's scale is generic."""
+    cfg = ModelConfig(construction, depth=depth, d_in=3, width=8, hidden=6, classes=3)
+    model = build_model(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for block in model.blocks:
+        for p in block.norms:
+            p.gain.data = rng.uniform(0.3, 1.7, size=p.dim)
+            p.bias.data = 0.5 * rng.normal(size=p.dim)
+        if block.w_skip is not None:
+            block.w_skip.data = 1.0 + 0.4 * rng.normal(size=block.w_skip.data.shape)
+    return model
+
+
+SCALE_CONSTRUCTIONS = (
+    [SkipConstruction(SkipKind.XSKIP_LN, lam=lam) for lam in (0.5, 1.0, 2.0, 3.7)]
+    + [SkipConstruction(SkipKind.RSKIP_LN, lam=lam) for lam in (1, 2, 3, 4)]
+    + [SkipConstruction(SkipKind.WSKIP_LN)]
+)
+
+
+class TestEffectiveScaleSweepPasses:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        construction=st.sampled_from(SCALE_CONSTRUCTIONS),
+        seed=st.integers(0, 2**16),
+        rows=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+        labelled=st.booleans(),
+    )
+    def test_bit_identical_to_the_two_pass_sweep(self, construction, seed, rows, labelled):
+        model = scale_model(construction, seed)
+        rng = np.random.default_rng(seed + 1)
+        batches = [rng.normal(size=(n, 3)) for n in rows]
+        if labelled:
+            batches = [(x, rng.integers(0, 3, size=len(x))) for x in batches]
+        report = effective_scale_sweep(model, batches)
+        per_block, average = two_pass_scale_sweep(model, batches)
+        assert report.per_block == per_block
+        assert report.average == average
+        assert report.samples == sum(rows)
+
+    @pytest.mark.parametrize("construction, calls_per_batch", [
+        (SkipConstruction(SkipKind.RSKIP_LN, lam=3), 4),
+        (SkipConstruction(SkipKind.XSKIP_LN, lam=2.0), 0),
+        (SkipConstruction(SkipKind.WSKIP_LN), 0),
+    ])
+    def test_block_forwards_per_batch(self, construction, calls_per_batch, monkeypatch):
+        model = scale_model(construction, seed=5, depth=4)
+        calls = []
+        forward = ResidualBlock.forward
+
+        def counted(block, *args, **kwargs):
+            calls.append(block)
+            return forward(block, *args, **kwargs)
+
+        monkeypatch.setattr(ResidualBlock, "forward", counted)
+        rng = np.random.default_rng(0)
+        effective_scale_sweep(model, [rng.normal(size=(n, 3)) for n in (5, 2, 7)])
+        assert calls == model.blocks[:calls_per_batch] * 3
+
+    @pytest.mark.parametrize("construction", [
+        SkipConstruction(SkipKind.RSKIP_LN, lam=2),
+        SkipConstruction(SkipKind.XSKIP_LN, lam=2.0),
+        SkipConstruction(SkipKind.WSKIP_LN),
+    ])
+    def test_malformed_batches_raise_as_a_forward_would(self, construction):
+        model = scale_model(construction, seed=1)
+        good = np.zeros((2, 3))
+        for bad in (np.zeros((2, 4)), np.zeros(3), np.zeros((1, 2, 3))):
+            with pytest.raises(DimensionError) as swept:
+                effective_scale_sweep(model, [good, bad])
+            with pytest.raises(DimensionError) as forwarded:
+                model.forward(Tensor(bad))
+            assert str(swept.value) == str(forwarded.value)
         with pytest.raises(ContractError):
             effective_scale_sweep(model, [])
 

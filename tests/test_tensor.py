@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skipnorm import (
     ContractError,
@@ -56,6 +58,32 @@ class TestForwardValues:
     def test_relu_known_values(self):
         out = relu(leaf([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        width=st.integers(1, 70),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.sampled_from([0.05, 0.5, 1.0]),
+        layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+    )
+    def test_relu_is_bit_equal_to_the_where_form(self, rows, width, seed, share, layout):
+        # the special values sit at random positions, so they land both in
+        # numpy's SIMD loop and in its scalar tail (widths not a multiple
+        # of the SIMD width), where -0.0 is handled differently
+        rng = np.random.default_rng(seed)
+        special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                            1e-310, -1e-310, 2.2250738585072014e-308, -1.0, 1.0])
+        a = rng.normal(size=(rows, width))
+        hit = rng.random(a.shape) < share
+        a[hit] = rng.choice(special, size=int(hit.sum()))
+        if layout == "transposed":
+            a = a.T
+        elif layout == "strided":
+            a = a[:, ::2]
+        expected = np.where(a > 0.0, a, 0.0)
+        out = relu(Tensor(a)).data
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
 
     def test_sum_known_value(self):
         assert float(tsum(leaf([[1.0, 2.0], [3.0, 4.0]])).data) == 10.0

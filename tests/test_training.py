@@ -15,6 +15,7 @@ from skipnorm import (
     build_model,
     curves_csv,
     evaluate_error,
+    evaluate_loss,
     gen_synthetic,
     matrix_csv,
     read_csv_rows,
@@ -51,6 +52,12 @@ class TestTrainConfig:
             tiny_cfg(PLAIN, momentum=1.0)
         with pytest.raises(ConfigError):
             tiny_cfg(PLAIN, weight_decay=-1e-4)
+
+    @pytest.mark.parametrize("name", ["lr", "lr_decay", "momentum", "weight_decay", "w_skip_init"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            tiny_cfg(PLAIN, **{name: value})
 
     def test_default_milestones_are_half_and_three_quarters(self):
         assert tiny_cfg(PLAIN, epochs=30).milestones() == (15, 22)
@@ -109,6 +116,14 @@ class TestTrain:
         assert result.error_rate == evaluate_error(model, data.x_test, data.y_test)
         # an untrained model on balanced classes sits near chance level
         assert abs(result.error_rate - (1 - 1 / 3)) < 0.25
+
+    @pytest.mark.parametrize("construction", [XSKIP_LN2, SkipConstruction(SkipKind.RSKIP_BN, lam=2)])
+    def test_last_epoch_figures_equal_the_public_evaluators(self, construction):
+        data = tiny_data()
+        result, model = train(tiny_cfg(construction), data)
+        assert not result.diverged
+        assert result.val_loss[-1] == evaluate_loss(model, data.x_test, data.y_test)
+        assert result.error_rate == evaluate_error(model, data.x_test, data.y_test)
 
     def test_same_config_is_bit_reproducible(self):
         data = tiny_data()
