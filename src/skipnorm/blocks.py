@@ -12,6 +12,7 @@ import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,10 +47,29 @@ class SkipKind(Enum):
     CONTRACTED_F_LN = "contracted-f-ln"
 
 
-_SCALED_KINDS = {SkipKind.XSKIP, SkipKind.XSKIP_LN, SkipKind.XSKIP_BN}
-_RECURSIVE_KINDS = {SkipKind.RSKIP_LN, SkipKind.RSKIP_BN}
-_LN_KINDS = {SkipKind.XSKIP_LN, SkipKind.RSKIP_LN, SkipKind.WSKIP_LN, SkipKind.CONTRACTED_F_LN}
-_BN_KINDS = {SkipKind.XSKIP_BN, SkipKind.RSKIP_BN}
+class _Lowering(NamedTuple):
+    """One SkipKind as a point of the family y_k = N(a*x + c*y_{k-1}),
+    k = 1..levels, with y_0 = F(x); no levels means the bare a*x + c*F."""
+
+    norm: str  # "LN", "BN", or "" for none
+    a: str  # shortcut: "1", "lam", or "w" (the learned w_skip vector)
+    c: str  # residual: "1", or "c" (residual_scale)
+    levels: object  # 0, 1, or "lam"
+    lam: str  # "real" (finite > 0, printed :g), "int" (integer >= 1), or "" (unused, stays 1)
+    name: str  # label template over {lam} and {c}
+
+
+_LOWERING = {
+    SkipKind.PLAIN: _Lowering("", "1", "1", 0, "", "plain"),
+    SkipKind.XSKIP: _Lowering("", "lam", "1", 0, "real", "{lam}xSkip"),
+    SkipKind.XSKIP_LN: _Lowering("LN", "lam", "1", 1, "real", "{lam}xSkip+LN"),
+    SkipKind.RSKIP_LN: _Lowering("LN", "1", "1", "lam", "int", "{lam}rSkip+LN"),
+    SkipKind.WSKIP_LN: _Lowering("LN", "w", "1", 1, "", "wSkip+LN"),
+    SkipKind.XSKIP_BN: _Lowering("BN", "lam", "1", 1, "real", "{lam}xSkip+BN"),
+    SkipKind.RSKIP_BN: _Lowering("BN", "1", "1", "lam", "int", "{lam}rSkip+BN"),
+    SkipKind.CONTRACTED_F_LN: _Lowering("LN", "1", "c", 1, "", "LN(x+{c}F)"),
+}
+_NORM_PARAMS = {"LN": LayerNormParams, "BN": BatchNormParams}
 
 
 @dataclass(frozen=True)
@@ -68,87 +88,67 @@ class SkipConstruction:
     residual_scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind in _SCALED_KINDS:
+        if not isinstance(self.kind, SkipKind):
+            raise ConfigError(f"kind must be a SkipKind, got {self.kind!r}")
+        row = self._lowered
+        if row.lam == "real":
             if not (math.isfinite(self.lam) and self.lam > 0):
                 raise ConfigError(f"{self.kind.value} requires finite lambda > 0, got {self.lam}")
-        elif self.kind in _RECURSIVE_KINDS:
+        elif row.lam == "int":
             if self.lam < 1 or not float(self.lam).is_integer():
                 raise ConfigError(f"{self.kind.value} requires integer lambda >= 1, got {self.lam}")
         elif self.lam != 1.0:
             raise ConfigError(f"{self.kind.value} does not use lambda; leave it at 1")
-        if self.kind is SkipKind.CONTRACTED_F_LN:
+        if row.c == "c":
             if not (math.isfinite(self.residual_scale) and self.residual_scale > 0):
                 raise ConfigError(f"residual_scale must be finite and positive, got {self.residual_scale}")
         elif self.residual_scale != 1.0:
             raise ConfigError(f"{self.kind.value} does not use residual_scale; leave it at 1")
 
     @property
+    def _lowered(self):
+        return _LOWERING[self.kind]
+
+    @property
     def levels(self):
         """Number of normalization instances a block of this kind owns."""
-        if self.kind in _RECURSIVE_KINDS:
-            return int(self.lam)
-        if self.kind in (_LN_KINDS | _BN_KINDS) - _RECURSIVE_KINDS:
-            return 1
-        return 0
+        levels = self._lowered.levels
+        return int(self.lam) if levels == "lam" else levels
 
     @property
     def uses_lambda(self):
-        return self.kind in _SCALED_KINDS | _RECURSIVE_KINDS
+        return self._lowered.lam != ""
 
     @property
     def uses_ln(self):
-        return self.kind in _LN_KINDS
+        return self._lowered.norm == "LN"
 
     @property
     def uses_bn(self):
-        return self.kind in _BN_KINDS
+        return self._lowered.norm == "BN"
+
+    def _lam_text(self):
+        return f"{int(self.lam)}" if self._lowered.lam == "int" else f"{self.lam:g}"
 
     def label(self):
         """Short method name, e.g. 2xSkip+LN or LN(x+3F)."""
-        k, lam = self.kind, self.lam
-        if k is SkipKind.PLAIN:
-            return "plain"
-        if k is SkipKind.XSKIP:
-            return f"{lam:g}xSkip"
-        if k is SkipKind.XSKIP_LN:
-            return f"{lam:g}xSkip+LN"
-        if k is SkipKind.RSKIP_LN:
-            return f"{int(lam)}rSkip+LN"
-        if k is SkipKind.WSKIP_LN:
-            return "wSkip+LN"
-        if k is SkipKind.XSKIP_BN:
-            return f"{lam:g}xSkip+BN"
-        if k is SkipKind.RSKIP_BN:
-            return f"{int(lam)}rSkip+BN"
-        return f"LN(x+{self.residual_scale:g}F)"
+        return self._lowered.name.format(lam=self._lam_text(), c=f"{self.residual_scale:g}")
 
     def arch(self):
-        """Formula string for result tables."""
-        k, lam = self.kind, self.lam
-        if k is SkipKind.PLAIN:
-            return "x+F"
-        if k is SkipKind.XSKIP:
-            return f"{lam:g}x+F"
-        if k is SkipKind.XSKIP_LN:
-            return f"LN({lam:g}x+F)"
-        if k is SkipKind.XSKIP_BN:
-            return f"BN({lam:g}x+F)"
-        if k is SkipKind.WSKIP_LN:
-            return "LN(w.x+F)"
-        if k is SkipKind.CONTRACTED_F_LN:
-            return f"LN(x+{self.residual_scale:g}*F)"
-        norm = "LN" if k is SkipKind.RSKIP_LN else "BN"
-        expr = f"{norm}(x+F)"
-        for _ in range(int(lam) - 1):
-            expr = f"{norm}(x+{expr})"
+        """Formula string for result tables: N(a.x + c.expr) nested once
+        per level around F."""
+        row = self._lowered
+        a = {"1": "", "lam": self._lam_text(), "w": "w."}[row.a]
+        c = f"{self.residual_scale:g}*" if row.c == "c" else ""
+        expr = "F"
+        for _ in range(max(self.levels, 1)):
+            expr = f"{a}x+{c}{expr}"
+            if row.norm:
+                expr = f"{row.norm}({expr})"
         return expr
 
     def norm_label(self):
-        if self.uses_ln:
-            return "LN"
-        if self.uses_bn:
-            return "BN"
-        return "-"
+        return self._lowered.norm or "-"
 
     @classmethod
     def parse(cls, token, lam=None):
@@ -173,11 +173,11 @@ class SkipConstruction:
             valid = ", ".join(k.value for k in SkipKind)
             raise ConfigError(f"unknown construction {token!r}; expected one of: {valid}")
         kwargs = {}
-        if kind in _SCALED_KINDS | _RECURSIVE_KINDS:
+        if _LOWERING[kind].lam:
             kwargs["lam"] = 1.0 if lam is None else float(lam)
         elif lam is not None:
             raise ConfigError(f"{kind.value} does not take lambda")
-        if kind is SkipKind.CONTRACTED_F_LN and residual_scale is not None:
+        if _LOWERING[kind].c == "c" and residual_scale is not None:
             kwargs["residual_scale"] = residual_scale
         return cls(kind, **kwargs)
 
@@ -247,15 +247,22 @@ class ResidualBlock:
             raise ConfigError(f"{construction.label()} owns {n} norms, got {len(self.norms)}")
         if len({id(p) for p in self.norms}) != len(self.norms):
             raise ConfigError("normalization parameter sets must be distinct objects")
+        row = construction._lowered
         for p in self.norms:
-            want = LayerNormParams if construction.uses_ln else BatchNormParams
+            want = _NORM_PARAMS[row.norm]
             if not isinstance(p, want):
                 raise ConfigError(f"{construction.label()} requires {want.__name__}")
-        if construction.kind is SkipKind.WSKIP_LN:
+        if row.a == "w":
             if w_skip is None:
-                raise ConfigError("wSkip+LN requires a w_skip vector")
+                raise ConfigError(f"{construction.label()} requires a w_skip vector")
         elif w_skip is not None:
             raise ConfigError(f"{construction.label()} does not take w_skip")
+        # y_k = N_k(a*x + c*y_{k-1}) with y_0 = F(x), one level per norm;
+        # the unnormalized unit sum x + F stays the tape's plain add
+        self._a = {"1": 1.0, "lam": construction.lam, "w": w_skip}[row.a]
+        self._c = construction.residual_scale
+        self._levels = self.norms or [None]
+        self._sum = not row.norm and row.a == row.c == "1"
 
     def forward(self, x, stats_out=None, branch_out=None):
         """Apply the construction on the tape.
@@ -266,21 +273,14 @@ class ResidualBlock:
         """
         if x.data.ndim != 2 or (self.width is not None and x.data.shape[1] != self.width):
             raise DimensionError(f"block expects [batch, {self.width}] input, got {x.data.shape}")
-        kind = self.construction.kind
         f = self.branch(x)
         if branch_out is not None:
             branch_out.append(f)
-
-        if kind is SkipKind.PLAIN:
+        if self._sum:
             return add(x, f)
-        # y_k = N_k(a*x + c*y_{k-1}) with y_0 = F(x), one level per norm
-        if kind is SkipKind.WSKIP_LN:
-            a = self.w_skip
-        else:
-            a = self.construction.lam if kind in _SCALED_KINDS else 1.0
         y = f
-        for norm in self.norms or [None]:
-            y = combine_norm(x, y, a, self.construction.residual_scale, norm, stats_out)
+        for norm in self._levels:
+            y = combine_norm(x, y, self._a, self._c, norm, stats_out)
         return y
 
     __call__ = forward
@@ -299,8 +299,8 @@ class ResidualBlock:
         """Forward an LN block while recording its decomposition witness.
 
         Returns (y, f, witness) where f is the branch value. Only the
-        LN-bearing kinds produce a witness; for the recursive kind it
-        covers all levels innermost-first.
+        LN-bearing kinds produce a witness; it covers all levels
+        innermost-first.
         """
         if not self.construction.uses_ln:
             raise ContractError("witness capture requires a layer-normalized construction")
@@ -316,30 +316,32 @@ class ResidualBlock:
 
 
 def effective_scale(block, x):
-    """Shortcut/residual coefficient ratio of one block on one input.
+    """Shortcut/residual coefficient ratio of one LN block on one input.
 
-    For the scaled-LN kind this is the modulating factor itself; for the
-    recursive kind it is the closed-form ratio evaluated on the captured
-    witness, averaged over rows and features; for the learned-vector
-    kind it is the mean of the skip gains.
+    With one level the ratio is mean(a)/c whatever the input: lambda for
+    xSkip+LN, the mean skip gain for wSkip+LN, 1/c for LN(x+cF). With
+    more levels it is the closed-form ratio evaluated on the captured
+    witness, averaged over rows and features.
     """
-    k = block.construction.kind
-    if k is SkipKind.XSKIP_LN:
-        return float(block.construction.lam)
-    if k is SkipKind.WSKIP_LN:
-        return float(block.w_skip.data.mean())
-    if k is SkipKind.RSKIP_LN:
+    scale = _input_free_scale(block)
+    if scale is None:
         if not isinstance(x, Tensor):
             x = Tensor(x)
         _, _, wit = block.witness(x)
-        return _witness_scale(wit)
-    raise ContractError(f"effective scale is undefined for {block.construction.label()}")
+        scale = float(ratio_general(wit).mean())
+    return scale
 
 
-def _witness_scale(witness):
-    """Effective scale of a recursive block from its captured witness:
-    the closed-form ratio averaged over rows and features."""
-    return float(ratio_general(witness).mean())
+def _input_free_scale(block):
+    """The effective scale of a one-level LN block; None for a block of
+    several levels, whose scale depends on the input."""
+    c = block.construction
+    if not c.uses_ln:
+        raise ContractError(f"effective scale is undefined for {c.label()}")
+    if c.levels > 1:
+        return None
+    a = block._a if block.w_skip is None else block.w_skip.data
+    return float(np.mean(a)) / c.residual_scale
 
 
 @dataclass(frozen=True)
@@ -424,11 +426,7 @@ class ResidualModel:
 
 
 def _make_norms(construction, width):
-    if construction.uses_ln:
-        return [LayerNormParams.create(width) for _ in range(construction.levels)]
-    if construction.uses_bn:
-        return [BatchNormParams.create(width) for _ in range(construction.levels)]
-    return []
+    return [_NORM_PARAMS[construction._lowered.norm].create(width) for _ in range(construction.levels)]
 
 
 def build_block(construction, width, hidden, rng, w_skip_init=1.0):
@@ -436,7 +434,7 @@ def build_block(construction, width, hidden, rng, w_skip_init=1.0):
     start at 1 and biases at 0, w_skip at the given constant."""
     branch = AffineReluBranch.init(width, hidden, rng)
     w_skip = None
-    if construction.kind is SkipKind.WSKIP_LN:
+    if construction._lowered.a == "w":
         w_skip = Tensor(np.full(width, float(w_skip_init)), requires_grad=True)
     return ResidualBlock(construction, branch, _make_norms(construction, width), w_skip, width=width)
 
@@ -473,7 +471,7 @@ _HEADER = struct.Struct("<4sII d d IIIII Q")
 def _param_count(cfg):
     """Doubles in the parameters of a model of this geometry."""
     c, w, h = cfg.construction, cfg.width, cfg.hidden
-    per_block = 2 * w * h + h + w + 2 * w * c.levels + (w if c.kind is SkipKind.WSKIP_LN else 0)
+    per_block = 2 * w * h + h + w + 2 * w * c.levels + (w if c._lowered.a == "w" else 0)
     return cfg.d_in * w + w + cfg.depth * per_block + w * cfg.classes + cfg.classes
 
 
@@ -580,7 +578,7 @@ def _read_model(cfg, payload):
             norms = [BatchNormParams(param(w), param(w), take(1, w), take(1, w)) for _ in range(c.levels)]
         else:
             norms = [LayerNormParams(param(w), param(w)) for _ in range(c.levels)]
-        w_skip = param(w) if c.kind is SkipKind.WSKIP_LN else None
+        w_skip = param(w) if c._lowered.a == "w" else None
         blocks.append(ResidualBlock(c, branch, norms, w_skip, width=w))
     out_w, out_b = param(w, cfg.classes), param(cfg.classes)
     return ResidualModel(in_w, in_b, blocks, out_w, out_b, config=cfg)

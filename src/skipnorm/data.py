@@ -31,8 +31,6 @@ class DatasetSpec:
     n_test: int = 512
     noise: float = 0.2
     seed: int = 0
-    path: str = ""
-    subset: int = 0
 
     def __post_init__(self):
         if self.source not in ("spiral", "moons", "cifar10"):

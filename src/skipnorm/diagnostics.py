@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import SkipConstruction, SkipKind, _witness_scale, build_block, effective_scale
+from .blocks import SkipConstruction, SkipKind, _input_free_scale, build_block
 from .errors import ContractError
 from .normalization import BatchNormParams, LayerNormParams, batch_norm, layer_norm
 from .ratio import ratio_general, unroll_decompose
@@ -82,9 +82,10 @@ def gradient_norm_sweep(model, batches, loss_fn=softmax_cross_entropy, seed=0):
     of the batch-mean loss are rescaled by the batch size, which turns
     them into per-sample loss gradients; summed in block order and
     divided by the total row count, the result is then independent of
-    how the rows were split into batches (for row-local models).
-    Batch-normalized models are swept in whatever mode they are in;
-    training mode updates their running statistics as a side effect.
+    how the rows were split into batches (for row-local models); a batch
+    of no rows contributes nothing. Batch-normalized models are swept in
+    whatever mode they are in; training mode updates their running
+    statistics as a side effect.
     """
     batches = list(batches)
     if not batches or sum(x.shape[0] for x, _ in batches) == 0:
@@ -94,9 +95,13 @@ def gradient_norm_sweep(model, batches, loss_fn=softmax_cross_entropy, seed=0):
     totals = np.zeros(len(model.blocks))
     samples = 0
     for x, labels in batches:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[0] == 0:
+            _check_matmul_shapes(x, model.in_w.data)  # the shape error a forward would raise
+            continue
         model.zero_grad()
         outs = []
-        logits = model.forward(Tensor(np.asarray(x, dtype=np.float64)), block_outputs=outs)
+        logits = model.forward(Tensor(x), block_outputs=outs)
         loss = loss_fn(logits, labels)
         loss.backward()
         for k, y in enumerate(outs):
@@ -109,36 +114,28 @@ def gradient_norm_sweep(model, batches, loss_fn=softmax_cross_entropy, seed=0):
 def effective_scale_sweep(model, batches):
     """Per-block effective scale averaged over a set of input batches.
 
-    Only defined for the shortcut-bearing layer-normalized kinds; the
-    per-block value is row-weighted across batches. ``batches`` holds
-    input arrays or (inputs, labels) pairs. A batch costs at most one
-    forward, and no tape: for rSkip+LN, whose scale depends on the
-    input, each block's witness is captured during the one pass that
-    produces the block inputs, and the output projection is never
-    computed. xSkip+LN and wSkip+LN, whose scale (lambda, or the mean
-    of ``w_skip``) does not depend on the input, run no forward; their
-    batches are only checked for the shape a forward would accept.
+    Only defined for layer-normalized blocks; the per-block value is
+    row-weighted across batches. ``batches`` holds input arrays or
+    (inputs, labels) pairs. A batch costs at most one forward, and no
+    tape. A one-level block's scale does not depend on the input, so a
+    model of such blocks (xSkip+LN, wSkip+LN, LN(x+cF)) runs no forward
+    and its batches are only checked for the shape a forward would
+    accept. Otherwise each multi-level block's witness is captured
+    during the one pass that produces the block inputs, and the output
+    projection is never computed. A batch of no rows contributes nothing.
     """
     if not model.blocks:
         raise ContractError("effective_scale_sweep needs at least one block")
-    kind = model.blocks[0].construction.kind
-    if kind not in (SkipKind.XSKIP_LN, SkipKind.RSKIP_LN, SkipKind.WSKIP_LN):
-        raise ContractError(f"effective scale is undefined for {model.blocks[0].construction.label()}")
-    batches = list(batches)
-    if not batches:
-        raise ContractError("effective_scale_sweep needs a nonempty sample set")
-    recursive = any(block.construction.kind is SkipKind.RSKIP_LN for block in model.blocks)
-    fixed = None if recursive else [effective_scale(block, None) for block in model.blocks]
+    fixed = [_input_free_scale(block) for block in model.blocks]
     totals = [0.0] * len(model.blocks)
     samples = 0
     for batch in batches:
         x = batch[0] if isinstance(batch, tuple) else batch
         x = np.asarray(x, dtype=np.float64)
-        if fixed is None:
-            scales = _witness_scales(model, x)
-        else:
-            _check_matmul_shapes(x, model.in_w.data)
-            scales = fixed
+        _check_matmul_shapes(x, model.in_w.data)
+        if x.shape[0] == 0:
+            continue
+        scales = _witness_scales(model, x, fixed) if None in fixed else fixed
         for i, s in enumerate(scales):
             totals[i] += s * x.shape[0]
         samples += x.shape[0]
@@ -149,18 +146,16 @@ def effective_scale_sweep(model, batches):
     return ScaleReport(label, per_block, float(np.mean(per_block)), samples)
 
 
-def _witness_scales(model, x):
+def _witness_scales(model, x, fixed):
     """Each block's effective scale on the rows of x, from one forward
-    through the blocks that captures every witness on the way."""
+    through the blocks that captures every witness on the way; a block
+    with an input-free scale in ``fixed`` keeps it."""
     scales = []
     with no_grad():
         h = model.project_in(x)
-        for block in model.blocks:
+        for block, scale in zip(model.blocks, fixed):
             h, _, witness = block.witness(h)
-            if block.construction.kind is SkipKind.RSKIP_LN:
-                scales.append(_witness_scale(witness))
-            else:
-                scales.append(effective_scale(block, None))
+            scales.append(float(ratio_general(witness).mean()) if scale is None else scale)
     return scales
 
 

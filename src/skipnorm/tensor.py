@@ -269,6 +269,8 @@ def softmax_cross_entropy(logits, labels):
         raise DimensionError(f"logits must be [batch, classes], got {logits.data.shape}")
     labels = np.asarray(labels)
     batch, classes = logits.data.shape
+    if batch == 0:
+        raise DimensionError("softmax_cross_entropy needs at least one row")
     if labels.shape != (batch,):
         raise DimensionError(f"labels must have shape ({batch},), got {labels.shape}")
     if labels.min() < 0 or labels.max() >= classes:

@@ -55,6 +55,10 @@ class TestSkipConstruction:
     def test_scaled_kinds_accept_fractional_lambda(self):
         assert SkipConstruction(SkipKind.XSKIP, lam=0.5).lam == 0.5
 
+    def test_kind_must_be_a_skip_kind(self):
+        with pytest.raises(ConfigError, match="SkipKind"):
+            SkipConstruction("xskip-ln", lam=2.0)
+
     def test_recursive_lambda_must_be_positive_integer(self):
         with pytest.raises(ConfigError):
             SkipConstruction(SkipKind.RSKIP_LN, lam=1.5)
@@ -356,6 +360,19 @@ class TestEffectiveScale:
         block = fresh_block(SkipKind.XSKIP_BN, lam=2.0)
         with pytest.raises(ContractError):
             block.witness(leaf(np.zeros((3, 6))))
+
+    def test_one_level_scale_is_mean_shortcut_over_residual_without_a_forward(self):
+        # no input is needed, so none is given
+        assert effective_scale(fresh_block(SkipKind.CONTRACTED_F_LN, residual_scale=3.0), None) == 1.0 / 3.0
+        assert effective_scale(fresh_block(SkipKind.CONTRACTED_F_LN, residual_scale=0.5), None) == 2.0
+        assert effective_scale(fresh_block(SkipKind.RSKIP_LN, lam=1), None) == 1.0
+        assert effective_scale(fresh_block(SkipKind.XSKIP_LN, lam=0.5), None) == 0.5
+
+    def test_undefined_for_batch_norm_kinds(self):
+        x = leaf(np.zeros((2, 6)))
+        for block in (fresh_block(SkipKind.XSKIP_BN, lam=2.0), fresh_block(SkipKind.RSKIP_BN, lam=2)):
+            with pytest.raises(ContractError, match="undefined"):
+                effective_scale(block, x)
 
 
 class TestCheckpoints:

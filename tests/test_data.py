@@ -1,5 +1,7 @@
 """Synthetic dataset generation and the binary image-batch reader."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,10 @@ class TestSpecValidation:
     def test_non_finite_noise_rejected(self, noise):
         with pytest.raises(ConfigError):
             DatasetSpec("spiral", noise=noise)
+
+    def test_fields_are_the_recipe(self):
+        # cifar10's location and subset size are load_cifar10 arguments, not spec fields
+        assert [f.name for f in fields(DatasetSpec)] == ["source", "classes", "n_train", "n_test", "noise", "seed"]
 
 
 class TestSynthetic:

@@ -184,6 +184,7 @@ SCALE_CONSTRUCTIONS = (
     [SkipConstruction(SkipKind.XSKIP_LN, lam=lam) for lam in (0.5, 1.0, 2.0, 3.7)]
     + [SkipConstruction(SkipKind.RSKIP_LN, lam=lam) for lam in (1, 2, 3, 4)]
     + [SkipConstruction(SkipKind.WSKIP_LN)]
+    + [SkipConstruction(SkipKind.CONTRACTED_F_LN, residual_scale=c) for c in (0.5, 3.0)]
 )
 
 
@@ -211,6 +212,7 @@ class TestEffectiveScaleSweepPasses:
         (SkipConstruction(SkipKind.RSKIP_LN, lam=3), 4),
         (SkipConstruction(SkipKind.XSKIP_LN, lam=2.0), 0),
         (SkipConstruction(SkipKind.WSKIP_LN), 0),
+        (SkipConstruction(SkipKind.CONTRACTED_F_LN, residual_scale=3.0), 0),
     ])
     def test_block_forwards_per_batch(self, construction, calls_per_batch, monkeypatch):
         model = scale_model(construction, seed=5, depth=4)
@@ -242,6 +244,81 @@ class TestEffectiveScaleSweepPasses:
             assert str(swept.value) == str(forwarded.value)
         with pytest.raises(ContractError):
             effective_scale_sweep(model, [])
+
+
+    def test_contracted_model_reports_the_inverse_residual_scale(self):
+        model = scale_model(SkipConstruction(SkipKind.CONTRACTED_F_LN, residual_scale=3.0), seed=2)
+        report = effective_scale_sweep(model, [np.ones((3, 3))])
+        assert report.per_block == (1.0 / 3.0,) * 4
+
+    def test_mixed_levels_keep_each_blocks_own_scale(self):
+        recursive = scale_model(SkipConstruction(SkipKind.RSKIP_LN, lam=2), seed=3)
+        contracted = scale_model(SkipConstruction(SkipKind.CONTRACTED_F_LN, residual_scale=2.0), seed=4)
+        wide = scale_model(SkipConstruction(SkipKind.WSKIP_LN), seed=5)
+        blocks = [recursive.blocks[0], contracted.blocks[1], wide.blocks[2], recursive.blocks[3]]
+        model = ResidualModel(recursive.in_w, recursive.in_b, blocks, recursive.out_w, recursive.out_b)
+        rng = np.random.default_rng(6)
+        batches = [rng.normal(size=(n, 3)) for n in (4, 1)]
+        report = effective_scale_sweep(model, batches)
+        assert report.per_block == two_pass_scale_sweep(model, batches)[0]
+        assert report.per_block[1] == 0.5
+
+    def test_undefined_for_multi_level_batch_norm(self):
+        model = scale_model(SkipConstruction(SkipKind.RSKIP_BN, lam=2), seed=1)
+        with pytest.raises(ContractError, match="2rSkip"):
+            effective_scale_sweep(model, [np.zeros((2, 3))])
+
+
+class TestEmptyBatches:
+    """A batch of no rows contributes nothing to either sweep; one of the
+    wrong width still fails as a forward would."""
+
+    @pytest.mark.parametrize("construction", [
+        SkipConstruction(SkipKind.RSKIP_LN, lam=2),
+        SkipConstruction(SkipKind.XSKIP_LN, lam=2.0),
+        SkipConstruction(SkipKind.CONTRACTED_F_LN, residual_scale=3.0),
+    ])
+    def test_scale_sweep_skips_an_empty_batch(self, construction):
+        model = scale_model(construction, seed=7, depth=2)
+        x = np.random.default_rng(7).normal(size=(3, 3))
+        with_empty = effective_scale_sweep(model, [np.zeros((0, 3)), x, (np.zeros((0, 3)), np.zeros(0, int))])
+        assert with_empty == effective_scale_sweep(model, [x])
+        assert all(np.isfinite(with_empty.per_block))
+
+    def test_scale_sweep_of_only_empty_batches_is_rejected(self):
+        model = scale_model(SkipConstruction(SkipKind.RSKIP_LN, lam=2), seed=7, depth=2)
+        with pytest.raises(ContractError):
+            effective_scale_sweep(model, [np.zeros((0, 3))])
+
+    @pytest.mark.parametrize("construction", [
+        SkipConstruction(SkipKind.RSKIP_LN, lam=2),
+        SkipConstruction(SkipKind.XSKIP_LN, lam=2.0),
+    ])
+    def test_scale_sweep_rejects_an_empty_batch_of_the_wrong_width(self, construction):
+        model = scale_model(construction, seed=7, depth=2)
+        bad = np.zeros((0, 4))
+        with pytest.raises(DimensionError) as swept:
+            effective_scale_sweep(model, [np.ones((2, 3)), bad])
+        with pytest.raises(DimensionError) as forwarded:
+            model.forward(Tensor(bad))
+        assert str(swept.value) == str(forwarded.value)
+
+    @pytest.mark.parametrize("kind, lam", [(SkipKind.RSKIP_LN, 2), (SkipKind.RSKIP_BN, 2), (SkipKind.XSKIP, 2.0)])
+    def test_gradient_sweep_skips_an_empty_batch(self, kind, lam):
+        model = toy_model(kind, lam=lam, depth=2)
+        batches = toy_batches(n_batches=2)
+        empty = (np.zeros((0, 2)), np.zeros(0, int))
+        with_empty = gradient_norm_sweep(model, [batches[0], empty, batches[1]])
+        assert with_empty == gradient_norm_sweep(model, batches)
+
+    def test_gradient_sweep_rejects_an_empty_batch_of_the_wrong_width(self):
+        model = toy_model(SkipKind.RSKIP_LN, lam=2, depth=2)
+        bad = np.zeros((0, 5))
+        with pytest.raises(DimensionError) as swept:
+            gradient_norm_sweep(model, toy_batches(n_batches=1) + [(bad, np.zeros(0, int))])
+        with pytest.raises(DimensionError) as forwarded:
+            model.forward(Tensor(bad))
+        assert str(swept.value) == str(forwarded.value)
 
 
 class TestAmplificationProbe:

@@ -199,6 +199,10 @@ class TestShapeErrors:
         with pytest.raises(DimensionError):
             softmax_cross_entropy(leaf(np.zeros((2, 3))), np.array([0, 1, 2]))
 
+    def test_cross_entropy_of_no_rows(self):
+        with pytest.raises(DimensionError, match="at least one row"):
+            softmax_cross_entropy(leaf(np.zeros((0, 3))), np.zeros(0, dtype=int))
+
 
 class TestGradcheck:
     def test_every_op_passes_on_random_instances(self):
