@@ -177,7 +177,9 @@ class SkipConstruction:
             kwargs["lam"] = 1.0 if lam is None else float(lam)
         elif lam is not None:
             raise ConfigError(f"{kind.value} does not take lambda")
-        if _LOWERING[kind].c == "c" and residual_scale is not None:
+        if residual_scale is not None:
+            if _LOWERING[kind].c != "c":
+                raise ConfigError(f"{kind.value} does not take a residual scale (:{suffix})")
             kwargs["residual_scale"] = residual_scale
         return cls(kind, **kwargs)
 

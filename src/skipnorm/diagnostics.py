@@ -17,6 +17,7 @@ from .ratio import ratio_general, unroll_decompose
 from .tensor import (
     Tensor,
     _check_matmul_shapes,
+    _worst,
     add,
     ewmul,
     gradcheck,
@@ -86,6 +87,11 @@ def gradient_norm_sweep(model, batches, loss_fn=softmax_cross_entropy, seed=0):
     of no rows contributes nothing. Batch-normalized models are swept in
     whatever mode they are in; training mode updates their running
     statistics as a side effect.
+
+    Peak memory is one batch's tape: each batch's tape is freed before
+    the next batch's forward, and its backward keeps only the block
+    outputs' gradients. The parameters' ``.grad`` hold the last batch's
+    gradients afterwards.
     """
     batches = list(batches)
     if not batches or sum(x.shape[0] for x, _ in batches) == 0:
@@ -99,16 +105,25 @@ def gradient_norm_sweep(model, batches, loss_fn=softmax_cross_entropy, seed=0):
         if x.shape[0] == 0:
             _check_matmul_shapes(x, model.in_w.data)  # the shape error a forward would raise
             continue
-        model.zero_grad()
-        outs = []
-        logits = model.forward(Tensor(x), block_outputs=outs)
-        loss = loss_fn(logits, labels)
-        loss.backward()
-        for k, y in enumerate(outs):
-            totals[k] += np.linalg.norm(y.grad, axis=1).sum() * x.shape[0]
+        for k, norm in enumerate(_block_grad_norms(model, x, labels, loss_fn)):
+            totals[k] += norm * x.shape[0]
         samples += x.shape[0]
     label = model.blocks[0].construction.label()
     return GradReport(label, tuple(float(t / samples) for t in totals), samples, seed)
+
+
+def _block_grad_norms(model, x, labels, loss_fn):
+    """Sum over the rows of x of ||d loss / d y_k||_2, one per block.
+    The batch's tape is unreferenced once this returns."""
+    outs = []
+    loss = loss_fn(model.forward(Tensor(x), block_outputs=outs), labels)
+    # the previous batch's parameter gradients were allocated last, above
+    # its freed tape; freed before this forward, they let the allocator
+    # hand that whole region back to the system and fault it in again
+    # (4rSkip+LN at width 64: ~6k page faults a sweep instead of under 1k)
+    model.zero_grad()
+    loss.backward(retain=outs)
+    return [np.linalg.norm(y.grad, axis=1).sum() for y in outs]
 
 
 def effective_scale_sweep(model, batches):
@@ -199,9 +214,12 @@ def gradcheck_battery(instances=20, seed=0, tol=1e-4):
     """Finite-difference check of every op and every block construction.
 
     Returns rows (target, max_rel_err, tol, passed), one per case, each
-    aggregated over ``instances`` seeded random instances. The battery
-    is deterministic for a given seed.
+    aggregated over ``instances`` seeded random instances (at least one;
+    a NaN error is the worst and fails its row). The battery is
+    deterministic for a given seed.
     """
+    if instances < 1:
+        raise ContractError(f"gradcheck_battery needs at least one instance per case, got {instances}")
     rng = np.random.default_rng(seed)
     rows = []
 
@@ -212,10 +230,11 @@ def gradcheck_battery(instances=20, seed=0, tol=1e-4):
         return Tensor(data, requires_grad=True)
 
     def run(name, case):
-        worst = 0.0
+        errors = []
         for _ in range(instances):
             f, inputs = case()
-            worst = max(worst, gradcheck(f, inputs, tol=tol).max_rel_err)
+            errors.append(gradcheck(f, inputs, tol=tol).max_rel_err)
+        worst = _worst(errors)
         rows.append((name, worst, tol, worst <= tol))
 
     def add_case():
@@ -343,12 +362,15 @@ def decomposition_check(lams=(1, 2, 3, 4), width=8, instances=100, seed=0, batch
     worst absolute deviation of coef_x*x + coef_f*f + const from the
     actual block output; the discrepancy is the worst relative gap
     between ratio_general and coef_x/coef_f where coef_f is nonzero.
+    ``instances`` must be at least one.
     """
+    if instances < 1:
+        raise ContractError(f"decomposition_check needs at least one instance per depth, got {instances}")
     rng = np.random.default_rng(seed)
     rows = []
     for lam in lams:
         construction = SkipConstruction(SkipKind.RSKIP_LN, lam=lam)
-        worst_rec, worst_disc = 0.0, 0.0
+        recs, discs = [], []
         for _ in range(instances):
             block = build_block(construction, width, hidden=width, rng=rng)
             for p in block.norms:
@@ -364,11 +386,11 @@ def decomposition_check(lams=(1, 2, 3, 4), width=8, instances=100, seed=0, batch
                 y, f, witness = block.witness(x)
             coef_x, coef_f, const = unroll_decompose(witness, x.data, f.data)
             rebuilt = coef_x * x.data + coef_f * f.data + const
-            worst_rec = max(worst_rec, float(np.abs(rebuilt - y.data).max()))
+            recs.append(float(np.abs(rebuilt - y.data).max()))
             ratio = ratio_general(witness)
             mask = np.abs(coef_f) > 1e-8
             oracle = coef_x[mask] / coef_f[mask]
             disc = np.abs(ratio[mask] - oracle) / np.abs(oracle)
-            worst_disc = max(worst_disc, float(disc.max()) if disc.size else 0.0)
-        rows.append((lam, worst_rec, worst_disc))
+            discs.append(float(disc.max()) if disc.size else 0.0)
+        rows.append((lam, _worst(recs), _worst(discs)))
     return rows

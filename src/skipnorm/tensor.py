@@ -4,12 +4,20 @@ The graph is a dynamic tape: every operation appends a node holding the
 backward rule as a closure over the saved forward values. Calling
 ``backward()`` on an output replays the reachable part of the tape in
 strict reverse creation order, accumulating gradients additively into
-``.grad`` of every node that requires them (intermediates included).
+``.grad`` of every node that requires them (intermediates included,
+unless ``retain`` says otherwise; see below).
 
 Inside ``with no_grad():`` operations compute the same values but record
 nothing: their outputs do not require grad, hold no parents and no
 backward closure, so every intermediate is freed as soon as it is no
 longer referenced. Evaluation, sweeps and finite differences use it.
+
+``backward(retain=...)`` names the interior nodes whose gradients the
+caller will read; every other interior node drops its ``.grad`` as soon
+as its backward rule has passed it on, so a pass holds the gradients of
+the nodes still to be visited rather than of the whole tape. Leaves
+(parameters and inputs) always keep theirs. By default every gradient
+is kept.
 
 ``.grad`` owns its buffer. The first contribution a tensor receives is
 copied, and later ones are added into that copy in place, so one array
@@ -23,6 +31,7 @@ length ``d`` combined with an array whose trailing axis is ``d``.
 """
 
 import itertools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -96,13 +105,19 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self, seed=None):
+    def backward(self, seed=None, *, retain=None):
         """Run reverse-mode differentiation from this node.
 
         ``seed`` is the upstream gradient; it defaults to 1.0 and is then
         only valid for scalar outputs. Nodes are visited exactly once, in
         reverse creation order, which is a valid topological order
-        because the tape is built dynamically.
+        because the tape is built dynamically: every contribution to a
+        node's gradient has arrived by the time its rule runs.
+
+        ``retain`` is None (every gradient is kept) or an iterable of
+        tensors: an interior node that is not among them then drops its
+        ``.grad`` right after its rule has passed it on. Leaves keep
+        theirs either way.
         """
         if not self.requires_grad:
             raise ContractError("backward() on a tensor that does not require grad")
@@ -115,11 +130,14 @@ class Tensor:
             if seed.shape != self.data.shape:
                 raise DimensionError(f"seed shape {seed.shape} != output shape {self.data.shape}")
 
+        keep = None if retain is None else set(retain)
         nodes = _reachable(self)
         self.accumulate_grad(seed)
         for node in sorted(nodes, key=lambda t: t._id, reverse=True):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if keep is not None and node not in keep:
+                    node.grad = None
 
     # convenience operators used by the demos and the harness
     def __add__(self, other):
@@ -302,6 +320,18 @@ class GradCheckReport:
         return self.max_rel_err <= self.tol
 
 
+def _worst(errors):
+    """The largest of ``errors`` as ``max`` picks it (0.0 for none, the
+    element itself otherwise), or the first NaN among them: ``max`` keeps
+    whichever of a number and a NaN comes first."""
+    worst = 0.0
+    for e in errors:
+        if e != e:
+            return e
+        worst = max(worst, e)
+    return worst
+
+
 def gradcheck(f, inputs, eps=1e-5, tol=1e-4):
     """Check analytic gradients of a scalar-valued tensor function.
 
@@ -309,8 +339,14 @@ def gradcheck(f, inputs, eps=1e-5, tol=1e-4):
     central difference, evaluated without a tape, is compared against
     the gradient produced by ``backward()``. Relative error is
     |a - n| / max(1e-8, |a| + |n|); the check passes iff the maximum
-    over all coordinates is <= tol.
+    over all coordinates is <= tol. A NaN error (a NaN or infinite
+    gradient or difference) is the maximum, so it fails. ``eps`` must be
+    finite and positive, ``tol`` finite and non-negative.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ContractError(f"gradcheck eps must be finite and positive, got {eps}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ContractError(f"gradcheck tol must be finite and non-negative, got {tol}")
     inputs = list(inputs)
     for t in inputs:
         t.zero_grad()
@@ -325,19 +361,19 @@ def gradcheck(f, inputs, eps=1e-5, tol=1e-4):
     per_input = []
     with no_grad():
         for t, a in zip(inputs, analytic):
-            worst = 0.0
             flat = t.data.reshape(-1)
-            aflat = a.reshape(-1)
+            fp, fm = np.empty(flat.size), np.empty(flat.size)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + eps
-                fp = float(f(*inputs).data)
+                fp[i] = float(f(*inputs).data)
                 flat[i] = orig - eps
-                fm = float(f(*inputs).data)
+                fm[i] = float(f(*inputs).data)
                 flat[i] = orig
-                n = (fp - fm) / (2.0 * eps)
-                rel = abs(aflat[i] - n) / max(1e-8, abs(aflat[i]) + abs(n))
-                worst = max(worst, rel)
-            per_input.append(worst)
+            a = a.reshape(-1)
+            n = (fp - fm) / (2.0 * eps)
+            with np.errstate(invalid="ignore"):  # inf/inf: a NaN error, which fails
+                rel = np.abs(a - n) / np.maximum(1e-8, np.abs(a) + np.abs(n))
+            per_input.append(_worst(rel))
 
-    return GradCheckReport(max(per_input, default=0.0), tol, per_input)
+    return GradCheckReport(_worst(per_input), tol, per_input)

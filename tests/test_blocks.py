@@ -113,6 +113,13 @@ class TestSkipConstruction:
         with pytest.raises(ConfigError):
             SkipConstruction.parse("2plain")
 
+    @pytest.mark.parametrize("token", ["xskip-ln:3", "2xskip-ln:7", "plain:1", "2xskip:0.5", "3rskip-ln:2",
+                                       "wskip-ln:1", "2xskip-bn:3", "2rskip-bn:1"])
+    def test_parse_rejects_a_residual_scale_on_kinds_without_one(self, token):
+        # the suffix used to be dropped: xskip-ln:3 parsed as xSkip+LN with c = 1
+        with pytest.raises(ConfigError, match="residual scale"):
+            SkipConstruction.parse(token)
+
     @pytest.mark.parametrize("token", ["2.5.1xskip", "..xskip-ln", "contracted-f-ln:abc", "contracted-f-ln:"])
     def test_parse_rejects_malformed_numbers_with_config_error(self, token):
         with pytest.raises(ConfigError, match="not a number"):

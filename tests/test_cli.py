@@ -167,6 +167,7 @@ class TestMalformedConstructions:
         ["train", "--construction", "contracted-f-ln:abc"],
         ["train", "--construction", "xskip", "--lambda", "nan"],
         ["matrix", "--construction", "xskip-ln", "--lambda", "inf", "--runs", "1"],
+        ["matrix", "--construction", "2xskip-ln:7", "--runs", "1"],
     ])
     def test_exit_2_without_traceback(self, argv, capsys):
         assert cli.main(argv + TINY) == 2
@@ -189,3 +190,21 @@ class TestNonFiniteNumbers:
         assert cli.main([command, "--construction", "xskip-ln"] + tiny + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+class TestVacuousChecks:
+    """A check that would check nothing, or whose tolerance makes every
+    row pass or every row fail, is refused instead of reported."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--tol", "inf"],
+        ["gradcheck", "--tol", "nan"],
+        ["gradcheck", "--tol", "-1"],
+        ["gradcheck", "--samples", "0"],
+        ["ratio-check", "--samples", "0"],
+    ])
+    def test_exit_2_without_traceback(self, argv, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""

@@ -1,13 +1,17 @@
 """Gradient-norm sweeps, amplification probes, and the check batteries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipnorm import (
+    BatchNormParams,
     ContractError,
     DimensionError,
+    GradCheckReport,
     GradReport,
     ModelConfig,
     ResidualBlock,
@@ -23,6 +27,7 @@ from skipnorm import (
     gradcheck_battery,
     gradient_norm_sweep,
     no_grad,
+    softmax_cross_entropy,
 )
 
 
@@ -110,6 +115,103 @@ class TestGradientNormSweep:
         model = ResidualModel(t(2, 4), t(4), [], t(4, 3), t(3))
         with pytest.raises(ContractError):
             gradient_norm_sweep(model, toy_batches())
+
+
+def two_tape_gradient_sweep(model, batches):
+    """The gradient-norm sweep as it was before it freed anything: every
+    gradient of a batch's tape is kept, and that tape is still referenced
+    while the next batch's forward builds a new one."""
+    totals = np.zeros(len(model.blocks))
+    samples = 0
+    for x, labels in batches:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[0] == 0:
+            continue
+        model.zero_grad()
+        outs = []
+        logits = model.forward(Tensor(x), block_outputs=outs)
+        loss = softmax_cross_entropy(logits, labels)
+        loss.backward()
+        for k, y in enumerate(outs):
+            totals[k] += np.linalg.norm(y.grad, axis=1).sum() * x.shape[0]
+        samples += x.shape[0]
+    return tuple(float(t / samples) for t in totals), samples
+
+
+ONE_OF_EACH_KIND = {
+    c.kind: c
+    for c in map(SkipConstruction.parse, ("plain", "1.5xskip", "0.7xskip-ln", "3rskip-ln", "wskip-ln",
+                                          "1.5xskip-bn", "2rskip-bn", "contracted-f-ln:2.5"))
+}
+
+
+def generic_model(construction, seed, depth, d_in, width, hidden, classes):
+    """An untrained model with norm parameters and skip gains moved off
+    their init, batch norms in training mode."""
+    model = build_model(ModelConfig(construction, depth, d_in, width, hidden, classes), seed=seed)
+    rng = np.random.default_rng(seed)
+    for block in model.blocks:
+        for p in block.norms:
+            p.gain.data = rng.uniform(0.3, 1.7, size=p.dim)
+            p.bias.data = 0.5 * rng.normal(size=p.dim)
+        if block.w_skip is not None:
+            block.w_skip.data = 1.0 + 0.4 * rng.normal(size=block.w_skip.data.shape)
+    return model
+
+
+def batch_norm_stats(model):
+    return [
+        (p.running_mean.tobytes(), p.running_var.tobytes())
+        for block in model.blocks for p in block.norms if isinstance(p, BatchNormParams)
+    ]
+
+
+class TestGradientNormSweepTape:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(list(SkipKind)),
+        depth=st.integers(1, 4),
+        dims=st.tuples(st.integers(1, 4), st.integers(1, 7), st.integers(1, 6), st.integers(2, 4)),
+        rows=st.lists(st.sampled_from([0, 2, 3, 5, 8]), min_size=1, max_size=4).filter(any),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bit_identical_to_the_two_tape_sweep(self, kind, depth, dims, rows, seed):
+        d_in, width, hidden, classes = dims
+        construction = ONE_OF_EACH_KIND[kind]
+        swept = generic_model(construction, seed, depth, d_in, width, hidden, classes)
+        reference = generic_model(construction, seed, depth, d_in, width, hidden, classes)
+        rng = np.random.default_rng(seed + 1)
+        batches = [(rng.normal(size=(n, d_in)), rng.integers(0, classes, size=n)) for n in rows]
+
+        report = gradient_norm_sweep(swept, batches)
+        assert (report.block_norms, report.samples) == two_tape_gradient_sweep(reference, batches)
+        assert batch_norm_stats(swept) == batch_norm_stats(reference)
+        # the parameters hold the last batch's gradients, as before
+        for (_, p, _), (_, q, _) in zip(swept.parameters(), reference.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes()
+
+    def test_peak_memory_is_one_batch_tape(self):
+        model = toy_model(SkipKind.RSKIP_LN, lam=2, depth=8, seed=1)
+        rng = np.random.default_rng(1)
+        batches = [(rng.normal(size=(128, 2)), rng.integers(0, 3, size=128)) for _ in range(4)]
+        gradient_norm_sweep(model, batches)  # parameter grads now exist, as before each measurement
+
+        def traced_peak(sweep, batches):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sweep(model, batches)
+            return tracemalloc.get_traced_memory()[1] - before
+
+        tracemalloc.start()
+        try:
+            one, four = traced_peak(gradient_norm_sweep, batches[:1]), traced_peak(gradient_norm_sweep, batches)
+            keep_all = traced_peak(two_tape_gradient_sweep, batches[:1])
+        finally:
+            tracemalloc.stop()
+        # keeping the previous batch's whole tape alive made this about 2
+        assert four <= 1.25 * one, (one, four)
+        # dropping the interior gradients saves about 30% of one batch's peak
+        assert one <= 0.85 * keep_all, (one, keep_all)
 
 
 class TestEffectiveScaleSweep:
@@ -355,6 +457,44 @@ class TestBatteries:
 
     def test_gradcheck_battery_is_deterministic(self):
         assert gradcheck_battery(instances=2, seed=5) == gradcheck_battery(instances=2, seed=5)
+
+    def test_gradcheck_battery_needs_an_instance(self):
+        with pytest.raises(ContractError, match="instance"):
+            gradcheck_battery(instances=0)
+
+    def test_decomposition_check_needs_an_instance(self):
+        with pytest.raises(ContractError, match="instance"):
+            decomposition_check(lams=(1,), instances=0)
+
+    def test_a_nan_error_fails_its_battery_row(self, monkeypatch):
+        from skipnorm import diagnostics
+
+        real = diagnostics.gradcheck
+        calls = []
+
+        def nan_on_second_call(f, inputs, **kwargs):
+            report = real(f, inputs, **kwargs)
+            calls.append(report)
+            return GradCheckReport(float("nan"), report.tol) if len(calls) == 2 else report
+
+        monkeypatch.setattr(diagnostics, "gradcheck", nan_on_second_call)
+        name, worst, tol, passed = gradcheck_battery(instances=3, seed=0)[0]
+        assert name == "op:add" and np.isnan(worst) and not passed
+
+    def test_a_nan_error_is_the_worst_decomposition_error(self, monkeypatch):
+        from skipnorm import diagnostics
+
+        real = diagnostics.unroll_decompose
+        calls = []
+
+        def nan_constant_first(witness, x, f):
+            coef_x, coef_f, const = real(witness, x, f)
+            calls.append(witness)
+            return coef_x, coef_f, const + np.nan if len(calls) == 1 else const
+
+        monkeypatch.setattr(diagnostics, "unroll_decompose", nan_constant_first)
+        [(lam, rec, disc)] = decomposition_check(lams=(2,), instances=3)
+        assert np.isnan(rec) and disc <= 1e-10
 
     def test_decomposition_check_is_tight(self):
         rows = decomposition_check(lams=(1, 2, 3), instances=10, seed=0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skipnorm import (
     ContractError,
@@ -27,6 +29,29 @@ def random_block_witness(lam, rng, width=8, batch=4):
     x = Tensor(rng.normal(size=(batch, width)), requires_grad=True)
     y, f, wit = block.witness(x)
     return wit, x.data, f.data, y.data
+
+
+def random_witness(lam, rng, batch, d):
+    """Arbitrary per-level statistics: positive sigmas, gains of either
+    sign bounded away from zero, any means and biases."""
+    def gain():
+        return rng.choice([-1.0, 1.0], size=d) * rng.uniform(0.2, 2.0, size=d)
+
+    return RatioWitness(
+        sigmas=tuple(rng.uniform(0.2, 3.0, size=batch) for _ in range(lam)),
+        mus=tuple(rng.normal(size=batch) for _ in range(lam)),
+        gains=tuple(gain() for _ in range(lam)),
+        biases=tuple(rng.normal(size=d) for _ in range(lam)),
+    )
+
+
+def recurse(wit, x, f):
+    """y_k = w_k * (x + y_{k-1} - mu_k) / sigma_k + b_k with y_0 = f, the
+    recursion the decomposition unrolls, on the witness's statistics."""
+    y = f
+    for sigma, mu, w, b in zip(wit.sigmas, wit.mus, wit.gains, wit.biases):
+        y = w * (x + y - mu[:, None]) / sigma[:, None] + b
+    return y
 
 
 def whitened_witness(lam, batch=3, d=5):
@@ -102,6 +127,34 @@ class TestReconstruction:
                 coef_x, coef_f, _ = unroll_decompose(wit, x, f)
                 rel = np.abs(ratio_general(wit) - coef_x / coef_f) / np.abs(coef_x / coef_f)
                 assert rel.max() <= 1e-10, (lam, rel.max())
+
+
+class TestReconstructionProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(lam=st.integers(1, 6), batch=st.integers(1, 6), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_any_witness_unrolls_its_recursion(self, lam, batch, d, seed):
+        rng = np.random.default_rng(seed)
+        wit = random_witness(lam, rng, batch, d)
+        x, f = rng.normal(size=(batch, d)), rng.normal(size=(batch, d))
+        coef_x, coef_f, const = unroll_decompose(wit, x, f)
+        terms = np.abs(coef_x * x) + np.abs(coef_f * f) + np.abs(const)
+        err = np.abs(coef_x * x + coef_f * f + const - recurse(wit, x, f))
+        assert np.all(err <= 1e-12 * (1.0 + terms)), err.max()
+        # gains of either sign let the ratio's terms cancel, so its error
+        # is measured against the sum of their magnitudes
+        magnitude = ratio_general(RatioWitness(wit.sigmas, wit.mus, tuple(map(np.abs, wit.gains)), wit.biases))
+        assert np.all(np.abs(ratio_general(wit) - coef_x / coef_f) <= 1e-12 * magnitude)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lam=st.integers(1, 5), width=st.integers(2, 10), batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_block_output_is_reconstructed(self, lam, width, batch, seed):
+        wit, x, f, y = random_block_witness(lam, np.random.default_rng(seed), width, batch)
+        coef_x, coef_f, const = unroll_decompose(wit, x, f)
+        terms = np.abs(coef_x * x) + np.abs(coef_f * f) + np.abs(const)
+        err = np.abs(coef_x * x + coef_f * f + const - y)
+        assert np.all(err <= 1e-12 * (1.0 + terms)), err.max()
+        rel = np.abs(ratio_general(wit) - coef_x / coef_f) / np.abs(coef_x / coef_f)
+        assert rel.max() <= 1e-12
 
 
 class TestClosedForm:

@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from skipnorm import (
     ContractError,
     DimensionError,
+    ModelConfig,
+    SkipConstruction,
+    SkipKind,
     Tensor,
     add,
+    build_model,
     ewmul,
     gradcheck,
     matmul,
@@ -18,6 +22,13 @@ from skipnorm import (
     softmax_cross_entropy,
     tsum,
 )
+
+
+ONE_OF_EACH_KIND = {
+    c.kind: c
+    for c in map(SkipConstruction.parse, ("plain", "1.5xskip", "0.7xskip-ln", "3rskip-ln", "wskip-ln",
+                                          "1.5xskip-bn", "2rskip-bn", "contracted-f-ln:2.5"))
+}
 
 
 def leaf(data):
@@ -143,6 +154,55 @@ class TestBackward:
         assert mid.grad is not None
         np.testing.assert_array_equal(mid.grad, [[1.0, 1.0]])
 
+    def test_retain_keeps_listed_and_leaf_grads_only(self):
+        x = leaf([[1.0, 2.0]])
+        mid = scale(x, 2.0)
+        top = relu(mid)
+        out = tsum(top)
+        out.backward(retain=[top])
+        np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
+        np.testing.assert_array_equal(top.grad, [[1.0, 1.0]])
+        assert mid.grad is None and out.grad is None
+
+    def test_retain_of_nothing_keeps_only_leaf_grads(self):
+        x = leaf([3.0])
+        mid = scale(x, 2.0)
+        tsum(add(mid, mid)).backward(retain=())
+        np.testing.assert_array_equal(x.grad, [4.0])
+        assert mid.grad is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(list(SkipKind)),
+        depth=st.integers(1, 3),
+        width=st.integers(1, 5),
+        rows=st.integers(2, 5),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_retain_changes_no_kept_gradient(self, kind, depth, width, rows, seed, data):
+        # two identical tapes; one keeps every gradient, one only S
+        cfg = ModelConfig(ONE_OF_EACH_KIND[kind], depth, 3, width, 4, 3)
+        x = np.random.default_rng(seed).normal(size=(rows, 3))
+        labels = np.arange(rows) % 3
+
+        def tape():
+            model = build_model(cfg, seed)
+            loss = softmax_cross_entropy(model.forward(Tensor(x)), labels)
+            return loss, _tape_nodes(loss)
+
+        full_loss, full = tape()
+        part_loss, part = tape()
+        interior = [i for i, t in enumerate(part) if t._parents]
+        kept = set(data.draw(st.lists(st.sampled_from(interior), unique=True))) if interior else set()
+        full_loss.backward()
+        part_loss.backward(retain=[part[i] for i in kept])
+        for i, (a, b) in enumerate(zip(full, part)):
+            if not b._parents or i in kept:
+                assert a.grad.tobytes() == b.grad.tobytes(), (i, b)
+            else:
+                assert b.grad is None, (i, b)
+
     def test_backward_is_deterministic(self):
         rng = np.random.default_rng(7)
         w = rng.normal(size=(4, 4))
@@ -172,6 +232,17 @@ class TestBackward:
         x = leaf([1.0, 2.0])
         with pytest.raises(DimensionError):
             scale(x, 2.0).backward(seed=[1.0, 2.0, 3.0])
+
+
+def _tape_nodes(root):
+    """Every node of root's tape that requires grad, in creation order."""
+    seen, stack = {root}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if p.requires_grad and p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return sorted(seen, key=lambda t: t._id)
 
 
 class TestShapeErrors:
@@ -248,6 +319,68 @@ class TestGradcheck:
         assert not report.passed
         assert report.max_rel_err > 1e-3
 
+    def test_nan_gradient_fails(self):
+        # max() kept a leading 0.0 over NaN, so this reported 0.0 and passed
+        report = gradcheck(_with_grad(lambda d: np.full_like(d, np.nan)), [leaf([1.0, 2.0, 3.0])])
+        assert np.isnan(report.max_rel_err)
+        assert not report.passed
+
+    def test_nan_in_one_entry_fails_even_when_the_others_are_exact(self):
+        report = gradcheck(_with_grad(lambda d: np.array([np.nan, 2.0])), [leaf([1.0, 2.0])])
+        assert np.isnan(report.per_input[0]) and not report.passed
+
+    def test_infinite_gradient_fails(self):
+        report = gradcheck(_with_grad(lambda d: np.array([2.0, np.inf])), [leaf([1.0, 2.0])])
+        assert not report.passed
+
+    def test_nan_in_a_later_input_fails(self):
+        def f(a, b):
+            return add(tsum(scale(a, 2.0)), _with_grad(lambda d: np.full_like(d, np.nan))(b))
+
+        report = gradcheck(f, [leaf([1.0, 2.0]), leaf([3.0])])
+        assert report.per_input[0] < 1e-6 and np.isnan(report.per_input[1])
+        assert np.isnan(report.max_rel_err) and not report.passed
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf"), float("-inf")])
+    def test_meaningless_eps_rejected(self, eps):
+        with pytest.raises(ContractError, match="eps"):
+            gradcheck(tsum, [leaf([1.0, 2.0])], eps=eps)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_meaningless_tol_rejected(self, tol):
+        with pytest.raises(ContractError, match="tol"):
+            gradcheck(tsum, [leaf([1.0, 2.0])], tol=tol)
+
+    def test_zero_tol_is_accepted(self):
+        assert gradcheck(tsum, [leaf([1.0, 2.0])], tol=0.0).tol == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        op=st.sampled_from(["add", "add-vector", "scale", "ewmul", "matmul", "relu", "xent"]),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+        eps=st.sampled_from([1e-3, 1e-5, 1e-7]),
+    )
+    def test_errors_equal_the_scalar_loop(self, op, rows, cols, seed, eps):
+        rng = np.random.default_rng(seed)
+        a, b = leaf(rng.normal(size=(rows, cols))), leaf(rng.normal(size=(rows, cols)))
+        v, w = leaf(rng.normal(size=cols)), leaf(rng.normal(size=(cols, 2)))
+        labels = rng.integers(0, cols, size=rows)
+        f, inputs = {
+            "add": (lambda p, q: tsum(add(p, q)), [a, b]),
+            "add-vector": (lambda p, q: tsum(add(p, q)), [a, v]),
+            "scale": (lambda p: tsum(scale(p, -1.7)), [a]),
+            "ewmul": (lambda p, q: tsum(ewmul(p, q)), [a, b]),
+            "matmul": (lambda p, q: tsum(matmul(p, q)), [a, w]),
+            "relu": (lambda p: tsum(relu(p)), [a]),
+            "xent": (lambda p: softmax_cross_entropy(p, labels), [a]),
+        }[op]
+        report = gradcheck(f, inputs, eps=eps)
+        per_input = scalar_gradcheck_errors(f, inputs, eps)
+        assert report.per_input == per_input
+        assert report.max_rel_err == max(per_input)
+
     def test_non_scalar_function_rejected(self):
         with pytest.raises(ContractError):
             gradcheck(lambda a: scale(a, 2.0), [leaf([1.0, 2.0])])
@@ -256,3 +389,38 @@ class TestGradcheck:
         x, y = leaf([1.0]), leaf([2.0])
         report = gradcheck(lambda a, b: tsum(ewmul(a, b)), [x, y])
         assert len(report.per_input) == 2
+
+
+def _with_grad(rule):
+    """tsum of 2x whose backward passes rule(x.data) instead of 2g."""
+
+    def f(x):
+        out = Tensor(2.0 * x.data, x.requires_grad, (x,), "rigged")
+        out._backward = lambda g: x.accumulate_grad(rule(x.data))
+        return tsum(out)
+
+    return f
+
+
+def scalar_gradcheck_errors(f, inputs, eps):
+    """gradcheck's per-input worst relative error, one coordinate at a
+    time in Python floats, as it was computed before the differences
+    became arrays."""
+    for t in inputs:
+        t.zero_grad()
+    f(*inputs).backward()
+    per_input = []
+    for t in inputs:
+        worst = 0.0
+        flat, aflat = t.data.reshape(-1), t.grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            fp = float(f(*inputs).data)
+            flat[i] = orig - eps
+            fm = float(f(*inputs).data)
+            flat[i] = orig
+            n = (fp - fm) / (2.0 * eps)
+            worst = max(worst, abs(aflat[i] - n) / max(1e-8, abs(aflat[i]) + abs(n)))
+        per_input.append(worst)
+    return per_input
