@@ -153,8 +153,8 @@ class SkipConstruction:
     @classmethod
     def parse(cls, token, lam=None):
         """Parse a CLI token like ``xskip-ln``, ``2rskip-ln``, or
-        ``contracted-f-ln:3``. A leading number or a ``lam`` argument
-        supplies lambda; the ``:c`` suffix supplies the residual scale."""
+        ``contracted-f-ln:3``. A leading number or ``lam`` (a number or its
+        text) supplies lambda; the ``:c`` suffix the residual scale."""
         token = token.strip().lower()
         residual_scale = None
         if ":" in token:
@@ -174,7 +174,7 @@ class SkipConstruction:
             raise ConfigError(f"unknown construction {token!r}; expected one of: {valid}")
         kwargs = {}
         if _LOWERING[kind].lam:
-            kwargs["lam"] = 1.0 if lam is None else float(lam)
+            kwargs["lam"] = 1.0 if lam is None else _parse_number(lam, f"lambda of {kind.value}")
         elif lam is not None:
             raise ConfigError(f"{kind.value} does not take lambda")
         if residual_scale is not None:
@@ -208,6 +208,8 @@ class AffineReluBranch:
     def init(cls, d, hidden, rng):
         """Fan-in-scaled normal init; relu layer gets the factor-2 variance
         and the output layer the damping above."""
+        if d < 1 or hidden < 1:
+            raise ConfigError(f"branch widths must be >= 1, got d={d}, hidden={hidden}")
         return cls(
             w1=Tensor(rng.normal(0.0, np.sqrt(2.0 / d), (d, hidden)), requires_grad=True),
             b1=Tensor(np.zeros(hidden), requires_grad=True),

@@ -21,7 +21,7 @@ from .blocks import ModelConfig, SkipConstruction, build_model, load_model, save
 from .data import DatasetSpec, gen_synthetic, load_cifar10
 from .diagnostics import decomposition_check, gradcheck_battery, gradient_norm_sweep
 from .errors import ConfigError, ContractError, DimensionError, FormatError
-from .training import TrainConfig, _fmt, curves_csv, matrix_csv, run_matrix, train, write_manifest
+from .training import TrainConfig, csv_text, curves_csv, matrix_csv, run_matrix, train, write_manifest
 
 DATA_DIR_ENV = "SKIPNORM_DATA_DIR"
 
@@ -103,8 +103,7 @@ def _emit(args, text, extra_config=None, artifacts=None, wall_clock=None):
 
 
 def _cmd_train(args):
-    lam = None if args.lam is None else float(args.lam)
-    construction = SkipConstruction.parse(args.construction, lam)
+    construction = SkipConstruction.parse(args.construction, args.lam)
     data = _make_dataset(args)
     cfg = TrainConfig(
         construction,
@@ -167,8 +166,7 @@ def _cmd_gradnorm(args):
     if args.checkpoint:
         model, _ = load_model(args.checkpoint)
     else:
-        lam = None if args.lam is None else float(args.lam)
-        construction = SkipConstruction.parse(args.construction, lam)
+        construction = SkipConstruction.parse(args.construction, args.lam)
         mcfg = ModelConfig(
             construction, args.depth, data.d_in, args.width, args.hidden, data.classes, args.w_skip_init
         )
@@ -180,24 +178,15 @@ def _cmd_gradnorm(args):
         (data.x_test[s:s + 256], data.y_test[s:s + 256]) for s in range(0, n, 256)
     ]
     report = gradient_norm_sweep(model, batches, seed=args.seed)
-    lines = ["construction,block_index,mean_grad_norm"]
-    for k, norm in enumerate(report.block_norms):
-        lines.append(f"{report.label},{k},{_fmt(norm)}")
-    _emit(args, "\n".join(lines) + "\n")
+    rows = [(report.label, k, norm) for k, norm in enumerate(report.block_norms)]
+    _emit(args, csv_text(("construction", "block_index", "mean_grad_norm"), rows))
     return 0
 
 
 def _cmd_ratio_check(args):
-    lams = []
-    for v in _parse_lams(args.lam or "1,2,3,4"):
-        if v < 1 or not float(v).is_integer():
-            raise ConfigError(f"recursive lambda must be an integer >= 1, got {v:g}")
-        lams.append(int(v))
+    lams = _parse_lams(args.lam or "1,2,3,4")
     rows = decomposition_check(lams, width=args.width, instances=args.samples, seed=args.seed)
-    lines = ["lambda,max_reconstruction_error,max_ratio_discrepancy"]
-    for lam, rec, disc in rows:
-        lines.append(f"{lam},{_fmt(rec)},{_fmt(disc)}")
-    text = "\n".join(lines) + "\n"
+    text = csv_text(("lambda", "max_reconstruction_error", "max_ratio_discrepancy"), rows)
     sys.stdout.write(text)
     if args.out:
         _emit(args, text)
@@ -206,16 +195,12 @@ def _cmd_ratio_check(args):
 
 def _cmd_gradcheck(args):
     rows = gradcheck_battery(instances=args.samples, seed=args.seed, tol=args.tol)
-    lines = ["target,max_rel_err,tol,status"]
-    failed = 0
-    for target, err, tol, passed in rows:
-        lines.append(f"{target},{_fmt(err)},{_fmt(tol)},{'pass' if passed else 'FAIL'}")
-        failed += 0 if passed else 1
-    text = "\n".join(lines) + "\n"
+    table = [(target, err, tol, "pass" if passed else "FAIL") for target, err, tol, passed in rows]
+    text = csv_text(("target", "max_rel_err", "tol", "status"), table)
     sys.stdout.write(text)
     if args.out:
         _emit(args, text)
-    return 1 if failed else 0
+    return 0 if all(passed for *_, passed in rows) else 1
 
 
 def _add_model_flags(p):

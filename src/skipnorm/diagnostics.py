@@ -56,8 +56,8 @@ class GradReport:
     def __post_init__(self):
         if self.samples <= 0:
             raise ContractError("a gradient report needs at least one sample")
-        if any(n < 0 for n in self.block_norms):
-            raise ContractError("gradient norms cannot be negative")
+        if not all(0 <= n < np.inf for n in self.block_norms):
+            raise ContractError(f"gradient norms must be finite and non-negative, got {self.block_norms}")
 
     @property
     def spread(self):
@@ -93,23 +93,31 @@ def gradient_norm_sweep(model, batches, loss_fn=softmax_cross_entropy, seed=0):
     outputs' gradients. The parameters' ``.grad`` hold the last batch's
     gradients afterwards.
     """
-    batches = list(batches)
-    if not batches or sum(x.shape[0] for x, _ in batches) == 0:
-        raise ContractError("gradient_norm_sweep needs a nonempty sample set")
+    block_norms, samples = _row_weighted(
+        model, batches, lambda x, labels: _block_grad_norms(model, x, labels, loss_fn), "gradient_norm_sweep"
+    )
+    return GradReport(model.blocks[0].construction.label(), block_norms, samples, seed)
+
+
+def _row_weighted(model, batches, values, what):
+    """The row-weighted mean over (inputs, payload) batches of the
+    per-block ``values(x, payload)``, and the row count. Every batch is
+    shape-checked as a forward would be; one of no rows adds nothing."""
     if not model.blocks:
-        raise ContractError("gradient_norm_sweep needs at least one block")
+        raise ContractError(f"{what} needs at least one block")
     totals = np.zeros(len(model.blocks))
     samples = 0
-    for x, labels in batches:
+    for x, payload in batches:
         x = np.asarray(x, dtype=np.float64)
+        _check_matmul_shapes(x, model.in_w.data)  # the shape error a forward would raise
         if x.shape[0] == 0:
-            _check_matmul_shapes(x, model.in_w.data)  # the shape error a forward would raise
             continue
-        for k, norm in enumerate(_block_grad_norms(model, x, labels, loss_fn)):
-            totals[k] += norm * x.shape[0]
+        for k, v in enumerate(values(x, payload)):
+            totals[k] += v * x.shape[0]
         samples += x.shape[0]
-    label = model.blocks[0].construction.label()
-    return GradReport(label, tuple(float(t / samples) for t in totals), samples, seed)
+    if samples == 0:
+        raise ContractError(f"{what} needs a nonempty sample set")
+    return tuple(float(t / samples) for t in totals), samples
 
 
 def _block_grad_norms(model, x, labels, loss_fn):
@@ -139,32 +147,21 @@ def effective_scale_sweep(model, batches):
     during the one pass that produces the block inputs, and the output
     projection is never computed. A batch of no rows contributes nothing.
     """
-    if not model.blocks:
-        raise ContractError("effective_scale_sweep needs at least one block")
     fixed = [_input_free_scale(block) for block in model.blocks]
-    totals = [0.0] * len(model.blocks)
-    samples = 0
-    for batch in batches:
-        x = batch[0] if isinstance(batch, tuple) else batch
-        x = np.asarray(x, dtype=np.float64)
-        _check_matmul_shapes(x, model.in_w.data)
-        if x.shape[0] == 0:
-            continue
-        scales = _witness_scales(model, x, fixed) if None in fixed else fixed
-        for i, s in enumerate(scales):
-            totals[i] += s * x.shape[0]
-        samples += x.shape[0]
-    if samples == 0:
-        raise ContractError("effective_scale_sweep needs a nonempty sample set")
-    per_block = tuple(t / samples for t in totals)
+    inputs = ((b[0] if isinstance(b, tuple) else b, None) for b in batches)
+    per_block, samples = _row_weighted(
+        model, inputs, lambda x, _: _witness_scales(model, x, fixed), "effective_scale_sweep"
+    )
     label = model.blocks[0].construction.label()
     return ScaleReport(label, per_block, float(np.mean(per_block)), samples)
 
 
 def _witness_scales(model, x, fixed):
-    """Each block's effective scale on the rows of x, from one forward
-    through the blocks that captures every witness on the way; a block
-    with an input-free scale in ``fixed`` keeps it."""
+    """Each block's effective scale on the rows of x: ``fixed`` when no
+    block needs a witness, else from one forward through the blocks that
+    captures every witness; a block with an input-free scale keeps it."""
+    if None not in fixed:
+        return fixed
     scales = []
     with no_grad():
         h = model.project_in(x)
@@ -356,20 +353,23 @@ def gradcheck_battery(instances=20, seed=0, tol=1e-4):
 def decomposition_check(lams=(1, 2, 3, 4), width=8, instances=100, seed=0, batch=4):
     """Verify the unrolled decomposition against live recursive forwards.
 
-    For each recursion depth, runs ``instances`` random blocks, captures
-    their witnesses, and returns rows (lam, max reconstruction error,
+    Every lambda is checked as a recursion depth first; then for each,
+    runs ``instances`` random blocks of ``batch`` rows, captures their
+    witnesses, and returns rows (integer depth, max reconstruction error,
     max closed-form ratio discrepancy). The reconstruction error is the
     worst absolute deviation of coef_x*x + coef_f*f + const from the
     actual block output; the discrepancy is the worst relative gap
     between ratio_general and coef_x/coef_f where coef_f is nonzero.
-    ``instances`` must be at least one.
+    ``instances`` and ``batch`` must be at least one.
     """
     if instances < 1:
         raise ContractError(f"decomposition_check needs at least one instance per depth, got {instances}")
+    if batch < 1:
+        raise ContractError(f"decomposition_check needs at least one row per instance, got {batch}")
+    constructions = [SkipConstruction(SkipKind.RSKIP_LN, lam=lam) for lam in lams]
     rng = np.random.default_rng(seed)
     rows = []
-    for lam in lams:
-        construction = SkipConstruction(SkipKind.RSKIP_LN, lam=lam)
+    for construction in constructions:
         recs, discs = [], []
         for _ in range(instances):
             block = build_block(construction, width, hidden=width, rng=rng)
@@ -392,5 +392,5 @@ def decomposition_check(lams=(1, 2, 3, 4), width=8, instances=100, seed=0, batch
             oracle = coef_x[mask] / coef_f[mask]
             disc = np.abs(ratio[mask] - oracle) / np.abs(oracle)
             discs.append(float(disc.max()) if disc.size else 0.0)
-        rows.append((lam, _worst(recs), _worst(discs)))
+        rows.append((construction.levels, _worst(recs), _worst(discs)))
     return rows

@@ -29,6 +29,7 @@ __all__ = [
     "run_matrix",
     "matrix_csv",
     "curves_csv",
+    "csv_text",
     "read_csv_rows",
     "write_manifest",
 ]
@@ -268,8 +269,10 @@ def run_matrix(constructions, seeds, base_cfg, data, progress=None):
 
     Individual divergences are flagged in their rows and the matrix
     continues. ``progress``, if given, is called with each finished
-    RunResult.
+    RunResult. An empty construction or seed list is refused.
     """
+    if not constructions or not seeds:
+        raise ConfigError("run_matrix needs at least one construction and one seed")
     results = []
     for construction in constructions:
         for seed in seeds:
@@ -281,13 +284,9 @@ def run_matrix(constructions, seeds, base_cfg, data, progress=None):
     return results
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 _MATRIX_COLUMNS = (
     "row,method,architecture,lambda,norm,seed,error_rate,error_std,diverged,diverged_epoch"
-)
+).split(",")
 
 
 def matrix_csv(results):
@@ -298,58 +297,38 @@ def matrix_csv(results):
     bit-exactly; no timing information is included, which keeps reruns
     byte-identical.
     """
-    lines = [_MATRIX_COLUMNS]
-    groups, order = {}, []
+    rows, groups = [], {}
     for r in results:
-        key = (r.label, r.arch)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(r)
-        lines.append(
-            ",".join(
-                [
-                    "run",
-                    r.label,
-                    r.arch,
-                    f"{r.lam:g}",
-                    r.norm,
-                    str(r.seed),
-                    _fmt(r.error_rate),
-                    "",
-                    str(int(r.diverged)),
-                    "" if r.diverged_epoch is None else str(r.diverged_epoch),
-                ]
-            )
-        )
-    for key in order:
-        members = groups[key]
+        groups.setdefault((r.label, r.arch), []).append(r)
+        rows.append(["run", r.label, r.arch, f"{r.lam:g}", r.norm, r.seed, float(r.error_rate), None,
+                     int(r.diverged), r.diverged_epoch])
+    for members in groups.values():
+        first = members[0]
         errors = np.array([m.error_rate for m in members])
-        lines.append(
-            ",".join(
-                [
-                    "summary",
-                    members[0].label,
-                    members[0].arch,
-                    f"{members[0].lam:g}",
-                    members[0].norm,
-                    "",
-                    _fmt(errors.mean()),
-                    _fmt(errors.std()),
-                    str(sum(int(m.diverged) for m in members)),
-                    "",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        rows.append(["summary", first.label, first.arch, f"{first.lam:g}", first.norm, None, errors.mean(),
+                     errors.std(), sum(int(m.diverged) for m in members), None])
+    return csv_text(_MATRIX_COLUMNS, rows)
 
 
 def curves_csv(result):
     """Per-epoch loss curves of one run as CSV (repr floats; inf allowed)."""
-    lines = ["epoch,train_loss,val_loss"]
-    for epoch, (tl, vl) in enumerate(zip(result.train_loss, result.val_loss)):
-        lines.append(f"{epoch},{_fmt(tl)},{_fmt(vl)}")
-    return "\n".join(lines) + "\n"
+    curves = zip(result.train_loss, result.val_loss)
+    rows = [(epoch, float(tl), float(vl)) for epoch, (tl, vl) in enumerate(curves)]
+    return csv_text(("epoch", "train_loss", "val_loss"), rows)
+
+
+def _cell(x):
+    if x is None:
+        return ""
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def csv_text(header, rows):
+    """CSV text of a header (a sequence of column names) and rows, the
+    writer :func:`read_csv_rows` reads back: floats are written with repr,
+    so they parse back bit-exactly, None as an empty cell, anything else
+    with str, and every line, the last one too, ends in a newline."""
+    return "".join(",".join(_cell(x) for x in line) + "\n" for line in [header, *rows])
 
 
 def read_csv_rows(text):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skipnorm import (
+    AffineReluBranch,
     BatchNormParams,
     ConfigError,
     ContractError,
@@ -550,3 +551,26 @@ class TestCheckpointFormat:
             path.write_bytes(with_header(raw, **changes))
             with pytest.raises(FormatError):
                 load_model(path)
+
+
+class TestBranchWidths:
+    @pytest.mark.parametrize("d, hidden", [(0, 3), (3, 0), (-2, 3), (3, -1)])
+    def test_branch_refuses_a_width_below_one(self, d, hidden):
+        with pytest.raises(ConfigError, match="width"):
+            AffineReluBranch.init(d, hidden, np.random.default_rng(0))
+
+    def test_build_block_refuses_a_zero_hidden_width(self):
+        with pytest.raises(ConfigError):
+            build_block(SkipConstruction(SkipKind.PLAIN), 3, 0, np.random.default_rng(0))
+
+
+class TestParseLambdaText:
+    def test_lambda_may_be_given_as_text(self):
+        assert SkipConstruction.parse("xskip", "2.5") == SkipConstruction.parse("xskip", 2.5)
+        assert SkipConstruction.parse("rskip-ln", "3").levels == 3
+
+    @pytest.mark.parametrize("text", ["abc", "", "nan", "inf", "-1", "0"])
+    def test_bad_lambda_text_is_a_config_error(self, text):
+        for token in ("xskip-ln", "rskip-ln"):
+            with pytest.raises(ConfigError):
+                SkipConstruction.parse(token, text)

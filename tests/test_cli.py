@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from skipnorm import cli, load_model, read_csv_rows
+from skipnorm import ModelConfig, SkipConstruction, SkipKind, build_model, cli, load_model, read_csv_rows, save_model
 
 TINY = [
     "--depth", "2", "--width", "8", "--hidden", "8",
@@ -208,3 +208,48 @@ class TestVacuousChecks:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
         assert captured.out == ""
+
+
+def assert_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+class TestLambdaText:
+    """The --lambda text goes to the construction parser unchanged; every
+    value it refuses exits 2 before anything is printed."""
+
+    @pytest.mark.parametrize("lam", ["abc", "", "nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("command", ["train", "gradnorm"])
+    @pytest.mark.parametrize("construction", ["xskip-ln", "rskip-ln"])
+    def test_bad_lambda_exits_2(self, construction, command, lam, capsys):
+        tiny = TINY_NO_TRAIN if command == "gradnorm" else TINY
+        assert_exit_2([command, "--construction", construction, "--lambda", lam] + tiny, capsys)
+
+    def test_fractional_recursion_depth_exits_2(self, capsys):
+        assert_exit_2(["ratio-check", "--lambda", "1.5", "--samples", "2"], capsys)
+
+    def test_float_text_of_an_integer_depth_is_accepted(self, capsys):
+        assert cli.main(["ratio-check", "--lambda", "1,3.0", "--samples", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
+
+
+class TestBadSizes:
+    @pytest.mark.parametrize("width", ["0", "-2"])
+    def test_ratio_check_width_below_one_exits_2(self, width, capsys):
+        assert_exit_2(["ratio-check", "--width", width, "--samples", "2"], capsys)
+
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_matrix_without_runs_exits_2(self, runs, capsys):
+        assert_exit_2(["matrix", "--construction", "plain"] + TINY + ["--runs", runs], capsys)
+
+    def test_gradnorm_of_a_checkpoint_with_a_nan_parameter_exits_2(self, tmp_path, capsys):
+        construction = SkipConstruction(SkipKind.XSKIP, lam=2.0)
+        model = build_model(ModelConfig(construction, depth=2, d_in=2, width=8, hidden=8, classes=3), seed=0)
+        model.in_w.data[0, 0] = np.nan
+        ckpt = tmp_path / "nan.bin"
+        save_model(model, ckpt)
+        assert_exit_2(["gradnorm", "--checkpoint", str(ckpt)] + TINY_NO_TRAIN + ["--samples", "32"], capsys)

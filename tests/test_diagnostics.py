@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from skipnorm import (
     BatchNormParams,
+    ConfigError,
     ContractError,
     DimensionError,
     GradCheckReport,
@@ -502,3 +503,48 @@ class TestBatteries:
         for lam, rec, disc in rows:
             assert rec <= 1e-10, (lam, rec)
             assert disc <= 1e-10, (lam, disc)
+
+
+class TestNonFiniteGradientNorms:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_report_rejects_a_non_finite_norm(self, bad):
+        with pytest.raises(ContractError, match="finite"):
+            GradReport("x", (1.0, bad), samples=2)
+
+    def test_sweep_of_a_model_with_a_nan_parameter_raises(self):
+        model = toy_model(SkipKind.XSKIP, lam=2.0, depth=2)
+        model.in_w.data[0, 0] = np.nan
+        with pytest.raises(ContractError, match="finite"):
+            gradient_norm_sweep(model, toy_batches())
+
+
+class TestDecompositionCheckInputs:
+    def test_every_lambda_is_checked_before_any_instance_runs(self, monkeypatch):
+        from skipnorm import diagnostics
+
+        def no_instances(*args, **kwargs):
+            raise AssertionError("an instance ran")
+
+        monkeypatch.setattr(diagnostics, "build_block", no_instances)
+        for lams in ((1, 1.5), (2, 0), (3, float("nan"))):
+            with pytest.raises(ConfigError):
+                decomposition_check(lams=lams, instances=2)
+
+    def test_rows_report_the_integer_depth(self):
+        rows = decomposition_check(lams=(1.0, 3.0), instances=2)
+        assert [lam for lam, _, _ in rows] == [1, 3]
+        assert all(type(lam) is int for lam, _, _ in rows)
+
+    def test_empty_batch_refused(self):
+        with pytest.raises(ContractError, match="row"):
+            decomposition_check(lams=(1,), instances=2, batch=0)
+
+    @pytest.mark.parametrize("width", [0, -2])
+    def test_bad_width_refused(self, width):
+        with pytest.raises(ConfigError, match="width"):
+            decomposition_check(lams=(1,), width=width, instances=2)
+
+    @pytest.mark.parametrize("width", [0, -2])
+    def test_amplification_probe_refuses_a_bad_width(self, width):
+        with pytest.raises(ConfigError, match="width"):
+            amplification_probe(SkipConstruction(SkipKind.XSKIP, lam=2.0), depth=2, width=width)

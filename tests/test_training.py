@@ -1,9 +1,12 @@
 """Trainer determinism, divergence handling, and result serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skipnorm import (
     ConfigError,
@@ -13,6 +16,7 @@ from skipnorm import (
     SkipKind,
     TrainConfig,
     build_model,
+    csv_text,
     curves_csv,
     evaluate_error,
     evaluate_loss,
@@ -250,3 +254,46 @@ class TestSerialization:
         assert manifest["artifacts"]["curves"]["sha256"] == want
         assert manifest["config"] == {"command": "probe"}
         assert manifest["wall_clock_seconds"] == 1.5
+
+
+def same_float(a, b):
+    """Equal bit patterns, except that any NaN matches any NaN."""
+    if math.isnan(a):
+        return math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestCsvText:
+    def test_cells_and_line_endings(self):
+        rows = [(0.1, None, 3, "x+F"), (-0.0, float("inf"), np.float64(2.5), "")]
+        text = csv_text(("a", "b", "c", "d"), rows)
+        assert text == "a,b,c,d\n0.1,,3,x+F\n-0.0,inf,2.5,\n"
+
+    def test_header_only(self):
+        assert csv_text(("epoch", "loss"), []) == "epoch,loss\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            st.one_of(st.none(), st.floats()),
+            st.integers(min_value=0, max_value=2**53),
+            st.text(alphabet="abxyzSkip+()", min_size=1).map(lambda t: "k" + t),
+        ),
+        max_size=8,
+    ))
+    def test_read_csv_rows_reads_back_what_csv_text_writes(self, rows):
+        back = read_csv_rows(csv_text(("value", "maybe", "seed", "label"), rows))
+        assert len(back) == len(rows)
+        for (value, maybe, seed, label), row in zip(rows, back):
+            assert same_float(row["value"], value)
+            assert row["maybe"] is None if maybe is None else same_float(row["maybe"], maybe)
+            assert row["seed"] == seed and type(row["seed"]) is int
+            assert row["label"] == label
+
+
+class TestEmptyMatrix:
+    @pytest.mark.parametrize("constructions, seeds", [([], [0]), ([PLAIN], []), ([], [])])
+    def test_refused(self, constructions, seeds):
+        with pytest.raises(ConfigError):
+            run_matrix(constructions, seeds, tiny_cfg(PLAIN), tiny_data())
