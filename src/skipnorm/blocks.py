@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, FormatError
+from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_seed
 from .normalization import BatchNormParams, LayerNormParams, combine_norm
 from .ratio import RatioWitness, ratio_general
 from .tensor import Tensor, add, matmul, relu
@@ -450,6 +450,7 @@ def build_model(cfg, seed):
     creation consumes no random draws, so constructions differing only
     in their normalization share branch initializations under one seed.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     c = cfg.construction
     in_w = Tensor(rng.normal(0.0, np.sqrt(1.0 / cfg.d_in), (cfg.d_in, cfg.width)), requires_grad=True)

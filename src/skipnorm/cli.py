@@ -136,7 +136,7 @@ def _cmd_train(args):
 
 def _cmd_matrix(args):
     tokens = args.construction.split(",")
-    lams = _parse_lams(args.lam) if args.lam else None
+    lams = _parse_lams(args.lam) if args.lam is not None else None
     cells = _expand_cells(tokens, lams)
     data = _make_dataset(args)
     base = TrainConfig(
@@ -184,7 +184,7 @@ def _cmd_gradnorm(args):
 
 
 def _cmd_ratio_check(args):
-    lams = _parse_lams(args.lam or "1,2,3,4")
+    lams = _parse_lams("1,2,3,4" if args.lam is None else args.lam)
     rows = decomposition_check(lams, width=args.width, instances=args.samples, seed=args.seed)
     text = csv_text(("lambda", "max_reconstruction_error", "max_ratio_discrepancy"), rows)
     sys.stdout.write(text)

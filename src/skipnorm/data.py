@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, _check_seed
 
 __all__ = ["DatasetSpec", "Dataset", "gen_synthetic", "load_cifar10"]
 
@@ -33,6 +33,7 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.source not in ("spiral", "moons", "cifar10"):
             raise ConfigError(f"unknown dataset source {self.source!r}")
         if self.classes < 2:
@@ -144,6 +145,7 @@ def load_cifar10(path, subset=2000, seed=0, test_subset=None):
     defaults to a fifth of ``subset``), scales pixels to [0,1], and
     standardizes per channel with statistics of the training subset.
     """
+    _check_seed(seed)
     if subset < _CIFAR_CLASSES:
         raise ConfigError(f"subset must cover all {_CIFAR_CLASSES} classes, got {subset}")
     train_files = sorted(

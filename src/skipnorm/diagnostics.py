@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import SkipConstruction, SkipKind, _input_free_scale, build_block
-from .errors import ContractError
+from .errors import ContractError, _check_seed
 from .normalization import BatchNormParams, LayerNormParams, batch_norm, layer_norm
 from .ratio import ratio_general, unroll_decompose
 from .tensor import (
@@ -90,13 +90,33 @@ def gradient_norm_sweep(model, batches, loss_fn=softmax_cross_entropy, seed=0):
 
     Peak memory is one batch's tape: each batch's tape is freed before
     the next batch's forward, and its backward keeps only the block
-    outputs' gradients. The parameters' ``.grad`` hold the last batch's
-    gradients afterwards.
+    outputs' gradients. The parameters' ``.grad`` hold the last nonempty
+    batch's gradients afterwards, and only that batch computes any: the
+    batches before it run with every parameter frozen
+    (``requires_grad=False``) and an input that requires grad, so their
+    backward passes skip the weight GEMMs and the bias, gain and skip
+    gain reductions. Each parameter's own flag is restored afterwards,
+    also when the sweep raises; a parameter frozen by the caller stays
+    frozen and gets no gradient.
     """
-    block_norms, samples = _row_weighted(
-        model, batches, lambda x, labels: _block_grad_norms(model, x, labels, loss_fn), "gradient_norm_sweep"
-    )
-    return GradReport(model.blocks[0].construction.label(), block_norms, samples, seed)
+    batches = list(batches)
+    params = [p for _, p, _ in model.parameters()]
+    flags = [p.requires_grad for p in params]
+    remaining = sum(np.shape(x)[:1] != (0,) for x, _ in batches)  # nonempty batches not yet run
+
+    def block_norms(x, labels):
+        nonlocal remaining
+        remaining -= 1
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag and not remaining
+        return _block_grad_norms(model, x, labels, loss_fn)
+
+    try:
+        norms, samples = _row_weighted(model, batches, block_norms, "gradient_norm_sweep")
+    finally:
+        for p, flag in zip(params, flags):
+            p.requires_grad = flag
+    return GradReport(model.blocks[0].construction.label(), norms, samples, seed)
 
 
 def _row_weighted(model, batches, values, what):
@@ -124,9 +144,9 @@ def _block_grad_norms(model, x, labels, loss_fn):
     """Sum over the rows of x of ||d loss / d y_k||_2, one per block.
     The batch's tape is unreferenced once this returns."""
     outs = []
-    loss = loss_fn(model.forward(Tensor(x), block_outputs=outs), labels)
-    # the previous batch's parameter gradients were allocated last, above
-    # its freed tape; freed before this forward, they let the allocator
+    loss = loss_fn(model.forward(Tensor(x, requires_grad=True), block_outputs=outs), labels)
+    # parameter gradients left by an earlier backward were allocated last,
+    # above its freed tape; freed before this forward, they let the allocator
     # hand that whole region back to the system and fault it in again
     # (4rSkip+LN at width 64: ~6k page faults a sweep instead of under 1k)
     model.zero_grad()
@@ -184,6 +204,7 @@ def amplification_probe(construction, depth, width, batch=2, seed=0):
     """
     if depth < 1:
         raise ContractError("amplification probe needs depth >= 1")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     blocks = []
     for _ in range(depth):
@@ -217,6 +238,7 @@ def gradcheck_battery(instances=20, seed=0, tol=1e-4):
     """
     if instances < 1:
         raise ContractError(f"gradcheck_battery needs at least one instance per case, got {instances}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     rows = []
 
@@ -366,6 +388,7 @@ def decomposition_check(lams=(1, 2, 3, 4), width=8, instances=100, seed=0, batch
         raise ContractError(f"decomposition_check needs at least one instance per depth, got {instances}")
     if batch < 1:
         raise ContractError(f"decomposition_check needs at least one row per instance, got {batch}")
+    _check_seed(seed)
     constructions = [SkipConstruction(SkipKind.RSKIP_LN, lam=lam) for lam in lams]
     rng = np.random.default_rng(seed)
     rows = []

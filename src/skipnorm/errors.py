@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the seed check."""
+
+import numbers
 
 
 class DimensionError(ValueError):
@@ -19,3 +21,10 @@ class FormatError(ValueError):
 
 class SingularRatioError(ValueError):
     """A normalization gain entry is exactly zero, making the ratio undefined."""
+
+
+def _check_seed(seed):
+    """Raise ConfigError unless ``seed`` is an integer >= 0, as
+    ``np.random.default_rng`` requires; run it before any random draw."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")

@@ -105,9 +105,11 @@ def _require_2d(x, d, opname):
 # combine_norm node. A forward takes the input array and whether the
 # caller owns it (an owned array is overwritten in place) and returns the
 # output array plus a function mapping the output gradient g to
-# (d gain, d bias, d input). The d input array is fresh, so the caller
-# may overwrite it. Means are sum / count, which numpy's mean computes
-# bit for bit the same way.
+# (d gain, d bias, d input). d gain and d bias are None unless the gain
+# or bias requires grad, and d input is None when the caller says no
+# input needs it. The d input array is fresh, so the caller may
+# overwrite it. Means are sum / count, which numpy's mean computes bit
+# for bit the same way.
 
 
 def _standardize(z, p, axis, owned):
@@ -129,14 +131,19 @@ def _standardize(z, p, axis, owned):
 def _standardize_backward(p, xhat, sigma, axis):
     n = xhat.shape[axis]
 
-    def grads(g):
-        work = g * xhat
-        dw = work.sum(axis=0)
-        db = g.sum(axis=0)
+    def grads(g, need_x):
+        dw = db = work = None
+        if p.gain.requires_grad:
+            work = g * xhat
+            dw = work.sum(axis=0)
+        if p.bias.requires_grad:
+            db = g.sum(axis=0)
+        if not need_x:
+            return dw, db, None
         dxhat = g * p.gain.data
         # full derivative through mu and sigma
         m1 = dxhat.sum(axis=axis, keepdims=True) / n
-        np.multiply(dxhat, xhat, out=work)
+        work = np.multiply(dxhat, xhat, out=work)  # a fresh array when d gain was skipped
         m2 = work.sum(axis=axis, keepdims=True) / n
         np.multiply(xhat, m2, out=work)
         dxhat -= m1
@@ -162,8 +169,12 @@ def _batch_norm_forward(z, p, owned):
         out = p.gain.data * xhat
         out += p.bias.data
 
-        def grads(g):
-            return (g * xhat).sum(axis=0), g.sum(axis=0), g * (p.gain.data / denom)
+        def grads(g, need_x):
+            return (
+                (g * xhat).sum(axis=0) if p.gain.requires_grad else None,
+                g.sum(axis=0) if p.bias.requires_grad else None,
+                g * (p.gain.data / denom) if need_x else None,
+            )
 
         return out, grads
 
@@ -182,7 +193,7 @@ def _norm_node(x, p, out, grads, op):
     w, b = p.gain, p.bias
 
     def backward(g):
-        dw, db, dx = grads(g)
+        dw, db, dx = grads(g, x.requires_grad)
         _accumulate(w, dw)
         _accumulate(b, db)
         _accumulate(x, dx)
@@ -258,21 +269,27 @@ def combine_norm(x, y, a=1.0, c=1.0, norm=None, stats_out=None):
 
     def backward(g):
         if grads is not None:
-            dw, db, g = grads(g)
+            dw, db, g = grads(g, x.requires_grad or y.requires_grad or learned and a.requires_grad)
             _accumulate(norm.gain, dw)
             _accumulate(norm.bias, db)
+            if g is None:
+                return
         if learned:
-            _accumulate(x, g * a.data)
-            _accumulate(a, (g * x.data).sum(axis=tuple(range(g.ndim - 1))))
-        else:
-            _accumulate(x, g if a == 1.0 else a * g)
+            if x.requires_grad:
+                x.accumulate_grad(g * a.data)
+            if a.requires_grad:
+                a.accumulate_grad((g * x.data).sum(axis=tuple(range(g.ndim - 1))))
+        elif x.requires_grad:
+            x.accumulate_grad(g if a == 1.0 else a * g)
+        if not y.requires_grad:
+            return
         if c == 1.0:
-            _accumulate(y, g)
+            y.accumulate_grad(g)
         elif grads is not None:
             g *= c  # the norm's input gradient is private to this call
-            _accumulate(y, g)
+            y.accumulate_grad(g)
         else:
-            _accumulate(y, c * g)
+            y.accumulate_grad(c * g)
 
     parents = (x, y) + ((a,) if learned else ()) + ((norm.gain, norm.bias) if norm is not None else ())
     requires = any(t.requires_grad for t in parents)

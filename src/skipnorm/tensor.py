@@ -19,6 +19,13 @@ the nodes still to be visited rather than of the whole tape. Leaves
 (parameters and inputs) always keep theirs. By default every gradient
 is kept.
 
+A backward rule computes a parent's gradient only if that parent
+requires grad when the rule runs: a frozen parameter
+(``requires_grad=False``) costs no weight GEMM and no reduction, and
+the gradients still computed are bit-identical. A tape whose parameters
+are all frozen still records when its input requires grad; its backward
+then computes the interior gradients alone.
+
 ``.grad`` owns its buffer. The first contribution a tensor receives is
 copied, and later ones are added into that copy in place, so one array
 may be handed to several tensors as their upstream gradient without
@@ -205,7 +212,8 @@ def add(a, b):
 
     def backward(g):
         _accumulate(a, g)
-        _accumulate(b, _reduce_to_vector(g, a.data.ndim) if broadcast else g)
+        if b.requires_grad:
+            b.accumulate_grad(_reduce_to_vector(g, a.data.ndim) if broadcast else g)
 
     return Tensor(a.data + b.data, a.requires_grad or b.requires_grad, (a, b), "add", backward)
 
@@ -226,9 +234,11 @@ def ewmul(a, b):
     broadcast = _check_binary_shapes(a, b, "ewmul")
 
     def backward(g):
-        _accumulate(a, g * b.data)
-        gb = g * a.data
-        _accumulate(b, _reduce_to_vector(gb, a.data.ndim) if broadcast else gb)
+        if a.requires_grad:
+            a.accumulate_grad(g * b.data)
+        if b.requires_grad:
+            gb = g * a.data
+            b.accumulate_grad(_reduce_to_vector(gb, a.data.ndim) if broadcast else gb)
 
     return Tensor(a.data * b.data, a.requires_grad or b.requires_grad, (a, b), "ewmul", backward)
 
@@ -245,8 +255,10 @@ def matmul(a, b):
     _check_matmul_shapes(a.data, b.data)
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            a.accumulate_grad(g @ b.data.T)
+        if b.requires_grad:
+            b.accumulate_grad(a.data.T @ g)
 
     return Tensor(a.data @ b.data, a.requires_grad or b.requires_grad, (a, b), "matmul", backward)
 

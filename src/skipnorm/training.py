@@ -10,13 +10,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .blocks import ModelConfig, build_model
-from .errors import ConfigError
+from .errors import ConfigError, _check_seed
 from .tensor import Tensor, no_grad, softmax_cross_entropy
 
 __all__ = [
@@ -54,6 +56,7 @@ class TrainConfig:
     w_skip_init: float = 1.0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.epochs < 0:
             raise ConfigError("epochs cannot be negative")
         if self.batch_size < 1:
@@ -350,14 +353,29 @@ def read_csv_rows(text):
     return rows
 
 
+def _environment():
+    """What produced the numbers: the Python, numpy and BLAS versions, the
+    BLAS thread variables and the CPU count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):  # a numpy without the dict form, or a build that omits it
+        blas = {"name": None, "version": None}
+    threads = {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas, **threads,
+            "cpu_count": os.cpu_count()}
+
+
 def write_manifest(path, config_dict, artifact_paths, wall_clock=None, extra=None):
-    """Write a JSON run manifest: config echo plus sha256 of each artifact."""
+    """Write a JSON run manifest: config echo, sha256 of each artifact and
+    the ``environment`` block (Python, numpy and BLAS versions, BLAS
+    thread variables, CPU count)."""
     artifacts = {}
     for name, p in artifact_paths.items():
         with open(p, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         artifacts[name] = {"path": str(p), "sha256": digest}
-    manifest = {"config": config_dict, "artifacts": artifacts}
+    manifest = {"config": config_dict, "artifacts": artifacts, "environment": _environment()}
     if wall_clock is not None:
         manifest["wall_clock_seconds"] = wall_clock
     if extra:

@@ -253,3 +253,39 @@ class TestBadSizes:
         ckpt = tmp_path / "nan.bin"
         save_model(model, ckpt)
         assert_exit_2(["gradnorm", "--checkpoint", str(ckpt)] + TINY_NO_TRAIN + ["--samples", "32"], capsys)
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("seed", ["-1", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--construction", "xskip-ln"] + TINY,
+            ["matrix", "--construction", "plain", "--runs", "2"] + TINY,
+            ["gradnorm", "--construction", "2xskip"] + TINY_NO_TRAIN,
+            ["ratio-check", "--samples", "2"],
+            ["gradcheck", "--samples", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_exits_2(self, argv, seed, capsys):
+        assert_exit_2(argv + ["--seed", seed], capsys)
+
+
+class TestEmptyLambdaList:
+    def test_matrix_exits_2(self, capsys):
+        assert_exit_2(["matrix", "--construction", "xskip", "--lambda", "", "--runs", "1"] + TINY, capsys)
+
+    def test_ratio_check_exits_2(self, capsys):
+        assert_exit_2(["ratio-check", "--lambda", "", "--samples", "2"], capsys)
+
+
+def test_manifest_records_the_environment_and_leaves_the_csv_alone(tmp_path, capsys):
+    argv = ["gradnorm", "--construction", "2rskip-ln"] + TINY_NO_TRAIN + ["--samples", "32"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "norms.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == printed
+    manifest = json.loads((tmp_path / "norms.csv.manifest.json").read_text())
+    assert {"python", "numpy", "blas", "cpu_count"} <= set(manifest["environment"])

@@ -215,6 +215,73 @@ class TestGradientNormSweepTape:
         assert one <= 0.85 * keep_all, (one, keep_all)
 
 
+def parameter_flags(model):
+    return [p.requires_grad for _, p, _ in model.parameters()]
+
+
+@pytest.fixture
+def forward_flags(monkeypatch):
+    """Every ResidualModel.forward records its model's parameter flags."""
+    calls = []
+    forward = ResidualModel.forward
+
+    def recording(self, *args, **kwargs):
+        calls.append(parameter_flags(self))
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResidualModel, "forward", recording)
+    return calls
+
+
+class TestGradientNormSweepFreezing:
+    @pytest.mark.parametrize("construction", list(ONE_OF_EACH_KIND.values()), ids=lambda c: c.label())
+    def test_parameters_are_frozen_on_every_nonempty_batch_but_the_last(self, construction, forward_flags):
+        model = generic_model(construction, 3, 2, 2, 5, 4, 3)
+        batches = toy_batches(n_batches=3)
+        empty = (np.zeros((0, 2)), np.zeros(0, int))
+        gradient_norm_sweep(model, [empty, batches[0], empty, batches[1], batches[2], empty])
+        n = len(parameter_flags(model))
+        assert forward_flags == [[False] * n, [False] * n, [True] * n]
+        assert parameter_flags(model) == [True] * n
+        assert all(p.grad is not None for _, p, _ in model.parameters())
+
+    def test_flags_are_restored_after_an_error_mid_sweep(self, forward_flags):
+        model = toy_model(SkipKind.WSKIP_LN, depth=3)
+        batches = toy_batches(n_batches=3)
+        x, labels = batches[1]
+        out_of_range = (x, np.where(np.arange(len(labels)) == 0, 3, labels))
+        with pytest.raises(IndexError):
+            gradient_norm_sweep(model, [batches[0], out_of_range, batches[2]])
+        n = len(parameter_flags(model))
+        assert forward_flags == [[False] * n, [False] * n]
+        assert parameter_flags(model) == [True] * n
+
+    def test_a_frozen_model_stays_frozen_and_is_swept(self):
+        frozen, reference = toy_model(SkipKind.XSKIP, lam=2.0), toy_model(SkipKind.XSKIP, lam=2.0)
+        for _, p, _ in frozen.parameters():
+            p.requires_grad = False
+        batches = toy_batches()
+        assert gradient_norm_sweep(frozen, batches) == gradient_norm_sweep(reference, batches)
+        assert not any(parameter_flags(frozen))
+        assert all(p.grad is None for _, p, _ in frozen.parameters())
+
+    def test_a_partly_frozen_model_keeps_its_flags(self):
+        construction = ONE_OF_EACH_KIND[SkipKind.WSKIP_LN]
+        partly = generic_model(construction, 5, 3, 2, 6, 4, 3)
+        reference = generic_model(construction, 5, 3, 2, 6, 4, 3)
+        flags = [k % 3 != 0 for k in range(len(parameter_flags(partly)))]
+        for (_, p, _), flag in zip(partly.parameters(), flags):
+            p.requires_grad = flag
+        batches = toy_batches(n_batches=3)
+        assert gradient_norm_sweep(partly, batches) == gradient_norm_sweep(reference, batches)
+        assert parameter_flags(partly) == flags
+        for (_, p, _), (_, q, _), flag in zip(partly.parameters(), reference.parameters(), flags):
+            if flag:
+                assert p.grad.tobytes() == q.grad.tobytes()
+            else:
+                assert p.grad is None
+
+
 class TestEffectiveScaleSweep:
     def test_untrained_scaled_ln_model_reports_lambda_everywhere(self):
         model = toy_model(SkipKind.XSKIP_LN, lam=3.0, depth=5)

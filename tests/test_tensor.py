@@ -6,16 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipnorm import (
+    BatchNormParams,
     ContractError,
     DimensionError,
+    LayerNormParams,
     ModelConfig,
     SkipConstruction,
     SkipKind,
     Tensor,
     add,
+    batch_norm,
     build_model,
+    combine_norm,
     ewmul,
     gradcheck,
+    layer_norm,
     matmul,
     relu,
     scale,
@@ -424,3 +429,98 @@ def scalar_gradcheck_errors(f, inputs, eps):
             worst = max(worst, abs(aflat[i] - n) / max(1e-8, abs(aflat[i]) + abs(n)))
         per_input.append(worst)
     return per_input
+
+
+def _norm_params(kind, gain, bias, stats):
+    """Fresh LayerNormParams or BatchNormParams (in ``kind``'s mode)
+    around the given gain and bias tensors; ``stats`` seeds BN's running
+    statistics."""
+    if kind is None:
+        return None
+    if kind == "ln":
+        return LayerNormParams(gain, bias)
+    mean, var = stats
+    mode = "training" if kind == "bn-training" else "inference"
+    return BatchNormParams(gain, bias, mean.copy(), var.copy(), mode=mode)
+
+
+def _frozen_input_cases():
+    """name -> (input shapes for (rows, width), function of the input
+    tensors and the running statistics to the output tensor)."""
+    row, vec = ("n", "d"), ("d",)
+    cases = {
+        "add": ([row, row], lambda t, _: add(*t)),
+        "add-vector": ([row, vec], lambda t, _: add(*t)),
+        "scale": ([row], lambda t, _: scale(t[0], -1.5)),
+        "ewmul": ([row, row], lambda t, _: ewmul(*t)),
+        "ewmul-vector": ([row, vec], lambda t, _: ewmul(*t)),
+        "matmul": ([row, ("d", "n")], lambda t, _: matmul(*t)),
+        "relu": ([row], lambda t, _: relu(t[0])),
+        "sum": ([row], lambda t, _: tsum(t[0])),
+        "softmax_cross_entropy": ([row], lambda t, _: softmax_cross_entropy(t[0], np.arange(t[0].shape[0]) % t[0].shape[1])),
+        "layer_norm": ([row, vec, vec], lambda t, s: layer_norm(t[0], _norm_params("ln", t[1], t[2], s))),
+    }
+    for mode in ("bn-training", "bn-inference"):
+        cases[f"batch_norm-{mode[3:]}"] = (
+            [row, vec, vec], lambda t, s, mode=mode: batch_norm(t[0], _norm_params(mode, t[1], t[2], s))
+        )
+    for norm in (None, "ln", "bn-training", "bn-inference"):
+        for c in (1.0, 2.5):
+            cases[f"combine_norm-{norm}-c{c}"] = (
+                [row, row] + [vec, vec] * (norm is not None),
+                lambda t, s, norm=norm, c=c: combine_norm(
+                    t[0], t[1], a=2.0, c=c, norm=_norm_params(norm, *t[2:], s) if norm else None
+                ),
+            )
+            cases[f"combine_norm-{norm}-c{c}-learned"] = (
+                [row, row, vec] + [vec, vec] * (norm is not None),
+                lambda t, s, norm=norm, c=c: combine_norm(
+                    t[0], t[1], a=t[2], c=c, norm=_norm_params(norm, *t[3:], s) if norm else None
+                ),
+            )
+    return cases
+
+
+FROZEN_INPUT_CASES = _frozen_input_cases()
+
+
+class TestFrozenInputs:
+    """A rule skips the gradients of inputs that do not require grad;
+    every other gradient is unchanged, byte for byte."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(FROZEN_INPUT_CASES)),
+        rows=st.integers(2, 9),
+        width=st.integers(1, 12),
+        frozen=st.lists(st.booleans(), min_size=5, max_size=5),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**16),
+    )
+    def test_frozen_inputs_get_no_gradient_and_the_rest_are_unchanged(self, name, rows, width, frozen, order,
+                                                                      seed):
+        shapes, f = FROZEN_INPUT_CASES[name]
+        rng = np.random.default_rng(seed)
+        sizes = {"n": rows, "d": width}
+        arrays = [np.asarray(rng.normal(size=[sizes[k] for k in s]), order=order) for s in shapes]
+        stats = (rng.normal(size=width), rng.uniform(0.5, 2.0, size=width))
+        frozen = frozen[:len(arrays)]
+
+        def run(requires):
+            inputs = [Tensor(a.copy(order="K"), requires_grad=r) for a, r in zip(arrays, requires)]
+            out = f(inputs, stats)
+            if out.requires_grad:
+                seed_grad = None if out.data.ndim == 0 else np.asarray(
+                    np.random.default_rng(seed + 1).normal(size=out.shape), order=order
+                )
+                out.backward(seed_grad)
+            return out, inputs
+
+        _, every = run([True] * len(arrays))
+        out, some = run([not x for x in frozen])
+        assert out.requires_grad == (not all(frozen))
+        for t, all_in, is_frozen in zip(some, every, frozen):
+            if is_frozen:
+                assert t.grad is None
+            else:
+                assert t.grad.tobytes() == all_in.grad.tobytes()

@@ -20,7 +20,11 @@ from skipnorm import (
     curves_csv,
     evaluate_error,
     evaluate_loss,
+    amplification_probe,
+    decomposition_check,
     gen_synthetic,
+    gradcheck_battery,
+    load_cifar10,
     matrix_csv,
     read_csv_rows,
     run_matrix,
@@ -254,6 +258,50 @@ class TestSerialization:
         assert manifest["artifacts"]["curves"]["sha256"] == want
         assert manifest["config"] == {"command": "probe"}
         assert manifest["wall_clock_seconds"] == 1.5
+
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        import os
+        import platform
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        artifact = tmp_path / "out.csv"
+        artifact.write_text("epoch,train_loss\n0,1.0\n")
+        manifest_path = tmp_path / "out.manifest.json"
+        write_manifest(manifest_path, {"command": "probe"}, {"curves": artifact})
+        env = json.loads(manifest_path.read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"], env["MKL_NUM_THREADS"]) == ("1", "3", None)
+        assert env["cpu_count"] == os.cpu_count()
+        assert artifact.read_text() == "epoch,train_loss\n0,1.0\n"
+
+
+SEEDED = {
+    "TrainConfig": lambda seed: tiny_cfg(PLAIN, seed=seed),
+    "DatasetSpec": lambda seed: DatasetSpec("spiral", seed=seed),
+    "build_model": lambda seed: build_model(ModelConfig(PLAIN, 1, 2, 4, 4, 3), seed),
+    "gradcheck_battery": lambda seed: gradcheck_battery(instances=1, seed=seed),
+    "decomposition_check": lambda seed: decomposition_check(instances=1, seed=seed),
+    "amplification_probe": lambda seed: amplification_probe(XSKIP2, depth=1, width=2, seed=seed),
+    "load_cifar10": lambda seed: load_cifar10("no-such-directory", seed=seed),
+}
+
+
+class TestSeedCheck:
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 0.5, "1", None])
+    @pytest.mark.parametrize("name", sorted(SEEDED))
+    def test_a_seed_that_is_not_an_integer_at_least_0_raises_config_error(self, name, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            SEEDED[name](seed)
+
+    def test_a_numpy_integer_seed_is_a_seed(self):
+        cfg = ModelConfig(PLAIN, 1, 2, 4, 4, 3)
+        same = build_model(cfg, np.int64(3)).in_w.data.tobytes() == build_model(cfg, 3).in_w.data.tobytes()
+        assert same and TrainConfig(PLAIN, seed=np.uint8(3)).seed == 3
 
 
 def same_float(a, b):
