@@ -2,127 +2,25 @@
 normalization, with a from-scratch reverse-mode tensor core, an exact
 shortcut/residual decomposition analysis, gradient diagnostics, and a
 deterministic desk-scale training harness.
+
+Each module's ``__all__`` is its public API; the package republishes
+all of them.
 """
 
-from .blocks import (
-    AffineReluBranch,
-    ModelConfig,
-    ResidualBlock,
-    ResidualModel,
-    SkipConstruction,
-    SkipKind,
-    build_block,
-    build_model,
-    effective_scale,
-    load_model,
-    save_model,
-)
-from .data import Dataset, DatasetSpec, gen_synthetic, load_cifar10
-from .diagnostics import (
-    GradReport,
-    ScaleReport,
-    amplification_probe,
-    decomposition_check,
-    effective_scale_sweep,
-    gradcheck_battery,
-    gradient_norm_sweep,
-)
-from .errors import (
-    ConfigError,
-    ContractError,
-    DimensionError,
-    FormatError,
-    SingularRatioError,
-)
-from .normalization import BatchNormParams, LayerNormParams, batch_norm, combine_norm, layer_norm
-from .ratio import RatioWitness, ratio_general, unroll_decompose
-from .tensor import (
-    GradCheckReport,
-    Tensor,
-    add,
-    ewmul,
-    gradcheck,
-    matmul,
-    no_grad,
-    relu,
-    scale,
-    softmax_cross_entropy,
-    tsum,
-)
-from .training import (
-    RunResult,
-    TrainConfig,
-    csv_text,
-    curves_csv,
-    evaluate_error,
-    evaluate_loss,
-    matrix_csv,
-    read_csv_rows,
-    run_matrix,
-    sgd_step,
-    train,
-    write_manifest,
-)
+from . import blocks, data, diagnostics, errors, normalization, ratio, tensor, training
+from .blocks import *  # noqa: F401,F403
+from .data import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .normalization import *  # noqa: F401,F403
+from .ratio import *  # noqa: F401,F403
+from .tensor import *  # noqa: F401,F403
+from .training import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineReluBranch",
-    "BatchNormParams",
-    "ConfigError",
-    "ContractError",
-    "Dataset",
-    "DatasetSpec",
-    "DimensionError",
-    "FormatError",
-    "GradCheckReport",
-    "GradReport",
-    "LayerNormParams",
-    "ModelConfig",
-    "RatioWitness",
-    "ResidualBlock",
-    "ResidualModel",
-    "RunResult",
-    "ScaleReport",
-    "SingularRatioError",
-    "SkipConstruction",
-    "SkipKind",
-    "Tensor",
-    "TrainConfig",
-    "add",
-    "amplification_probe",
-    "batch_norm",
-    "build_block",
-    "build_model",
-    "combine_norm",
-    "csv_text",
-    "curves_csv",
-    "decomposition_check",
-    "effective_scale",
-    "effective_scale_sweep",
-    "evaluate_error",
-    "evaluate_loss",
-    "ewmul",
-    "gen_synthetic",
-    "gradcheck",
-    "gradcheck_battery",
-    "gradient_norm_sweep",
-    "layer_norm",
-    "load_cifar10",
-    "load_model",
-    "matmul",
-    "matrix_csv",
-    "no_grad",
-    "read_csv_rows",
-    "ratio_general",
-    "relu",
-    "run_matrix",
-    "save_model",
-    "scale",
-    "sgd_step",
-    "softmax_cross_entropy",
-    "train",
-    "tsum",
-    "unroll_decompose",
-    "write_manifest",
-]
+__all__ = sorted(
+    name
+    for module in (blocks, data, diagnostics, errors, normalization, ratio, tensor, training)
+    for name in module.__all__
+)

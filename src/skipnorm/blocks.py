@@ -237,13 +237,11 @@ class AffineReluBranch:
 class ResidualBlock:
     """One residual block: a construction, a branch, and its norms."""
 
-    def __init__(self, construction, branch, norms=(), w_skip=None, width=None):
+    def __init__(self, construction, branch, norms=(), w_skip=None, *, width):
         self.construction = construction
         self.branch = branch
         self.norms = list(norms)
         self.w_skip = w_skip
-        if width is None:
-            width = self.norms[0].dim if self.norms else None
         self.width = width
 
         n = construction.levels
@@ -275,7 +273,7 @@ class ResidualBlock:
         layer-norm level, innermost first; ``branch_out`` receives the
         branch value F(x). Both feed the decomposition witness.
         """
-        if x.data.ndim != 2 or (self.width is not None and x.data.shape[1] != self.width):
+        if x.data.ndim != 2 or x.data.shape[1] != self.width:
             raise DimensionError(f"block expects [batch, {self.width}] input, got {x.data.shape}")
         f = self.branch(x)
         if branch_out is not None:

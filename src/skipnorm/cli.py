@@ -164,7 +164,9 @@ def _cmd_matrix(args):
 def _cmd_gradnorm(args):
     data = _make_dataset(args)
     if args.checkpoint:
-        model, _ = load_model(args.checkpoint)
+        model, cfg = load_model(args.checkpoint)
+        if data.classes > cfg.classes:
+            raise ConfigError(f"{args.checkpoint}: a {cfg.classes}-class model cannot score {data.classes}-class data")
     else:
         construction = SkipConstruction.parse(args.construction, args.lam)
         mcfg = ModelConfig(
@@ -177,7 +179,7 @@ def _cmd_gradnorm(args):
     batches = [
         (data.x_test[s:s + 256], data.y_test[s:s + 256]) for s in range(0, n, 256)
     ]
-    report = gradient_norm_sweep(model, batches, seed=args.seed)
+    report = gradient_norm_sweep(model, batches)
     rows = [(report.label, k, norm) for k, norm in enumerate(report.block_norms)]
     _emit(args, csv_text(("construction", "block_index", "mean_grad_norm"), rows))
     return 0
@@ -187,9 +189,9 @@ def _cmd_ratio_check(args):
     lams = _parse_lams("1,2,3,4" if args.lam is None else args.lam)
     rows = decomposition_check(lams, width=args.width, instances=args.samples, seed=args.seed)
     text = csv_text(("lambda", "max_reconstruction_error", "max_ratio_discrepancy"), rows)
-    sys.stdout.write(text)
     if args.out:
         _emit(args, text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -197,9 +199,9 @@ def _cmd_gradcheck(args):
     rows = gradcheck_battery(instances=args.samples, seed=args.seed, tol=args.tol)
     table = [(target, err, tol, "pass" if passed else "FAIL") for target, err, tol, passed in rows]
     text = csv_text(("target", "max_rel_err", "tol", "status"), table)
-    sys.stdout.write(text)
     if args.out:
         _emit(args, text)
+    sys.stdout.write(text)
     return 0 if all(passed for *_, passed in rows) else 1
 
 
@@ -288,7 +290,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ContractError, DimensionError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, ContractError, DimensionError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

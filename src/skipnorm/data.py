@@ -34,14 +34,12 @@ class DatasetSpec:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if self.source not in ("spiral", "moons", "cifar10"):
-            raise ConfigError(f"unknown dataset source {self.source!r}")
+        if self.source not in ("spiral", "moons"):
+            raise ConfigError(f"unknown dataset source {self.source!r}; CIFAR-10 loads through load_cifar10")
         if self.classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.source == "moons" and self.classes != 2:
             raise ConfigError("moons is a two-class dataset")
-        if self.source == "cifar10" and self.classes != _CIFAR_CLASSES:
-            raise ConfigError("cifar10 has exactly 10 classes")
         if self.n_train < 1 or self.n_test < 1:
             raise ConfigError("train and test sample counts must be positive")
         if not (math.isfinite(self.noise) and self.noise >= 0):
@@ -98,8 +96,6 @@ def gen_synthetic(spec):
     stream, so they share no points and rerunning the same spec yields
     identical arrays.
     """
-    if spec.source not in ("spiral", "moons"):
-        raise ConfigError(f"gen_synthetic cannot produce {spec.source!r}")
     rng = np.random.default_rng(spec.seed)
     splits = []
     for n in (spec.n_train, spec.n_test):
@@ -137,13 +133,14 @@ def _stratified_pick(rng, labels, total, classes, what):
     return idx[rng.permutation(len(idx))]
 
 
-def load_cifar10(path, subset=2000, seed=0, test_subset=None):
+def load_cifar10(path, subset=2000, seed=0):
     """Load CIFAR-10 binary batches under ``path`` as flat row vectors.
 
     Reads every ``data_batch_*.bin`` for training and ``test_batch.bin``
-    for testing, takes a seeded stratified subset of each (``test_subset``
-    defaults to a fifth of ``subset``), scales pixels to [0,1], and
-    standardizes per channel with statistics of the training subset.
+    for testing, takes a seeded stratified subset of each (the test
+    subset is a fifth of ``subset``, at least 10 and at most the test
+    file), scales pixels to [0,1], and standardizes per channel with
+    statistics of the training subset.
     """
     _check_seed(seed)
     if subset < _CIFAR_CLASSES:
@@ -163,9 +160,7 @@ def load_cifar10(path, subset=2000, seed=0, test_subset=None):
     x_tr = np.concatenate([p[1] for p in parts])
     y_te, x_te = _read_batch_file(test_file)
 
-    if test_subset is None:
-        test_subset = max(_CIFAR_CLASSES, subset // 5)
-    test_subset = min(test_subset, len(y_te))
+    test_subset = min(max(_CIFAR_CLASSES, subset // 5), len(y_te))
     rng = np.random.default_rng(seed)
     tr_idx = _stratified_pick(rng, y_tr, subset, _CIFAR_CLASSES, "train subset")
     te_idx = _stratified_pick(rng, y_te, test_subset, _CIFAR_CLASSES, "test subset")

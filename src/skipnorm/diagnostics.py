@@ -51,7 +51,6 @@ class GradReport:
     label: str
     block_norms: tuple
     samples: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.samples <= 0:
@@ -76,17 +75,17 @@ class ScaleReport:
     samples: int
 
 
-def gradient_norm_sweep(model, batches, loss_fn=softmax_cross_entropy, seed=0):
+def gradient_norm_sweep(model, batches):
     """Average per-block output-gradient norms over a set of batches.
 
     ``batches`` is a sequence of (inputs, labels) arrays. Row gradients
-    of the batch-mean loss are rescaled by the batch size, which turns
-    them into per-sample loss gradients; summed in block order and
-    divided by the total row count, the result is then independent of
-    how the rows were split into batches (for row-local models); a batch
-    of no rows contributes nothing. Batch-normalized models are swept in
-    whatever mode they are in; training mode updates their running
-    statistics as a side effect.
+    of the batch-mean softmax cross-entropy are rescaled by the batch
+    size, which turns them into per-sample loss gradients; summed in
+    block order and divided by the total row count, the result is then
+    independent of how the rows were split into batches (for row-local
+    models); a batch of no rows contributes nothing. Batch-normalized
+    models are swept in whatever mode they are in; training mode
+    updates their running statistics as a side effect.
 
     Peak memory is one batch's tape: each batch's tape is freed before
     the next batch's forward, and its backward keeps only the block
@@ -109,14 +108,14 @@ def gradient_norm_sweep(model, batches, loss_fn=softmax_cross_entropy, seed=0):
         remaining -= 1
         for p, flag in zip(params, flags):
             p.requires_grad = flag and not remaining
-        return _block_grad_norms(model, x, labels, loss_fn)
+        return _block_grad_norms(model, x, labels)
 
     try:
         norms, samples = _row_weighted(model, batches, block_norms, "gradient_norm_sweep")
     finally:
         for p, flag in zip(params, flags):
             p.requires_grad = flag
-    return GradReport(model.blocks[0].construction.label(), norms, samples, seed)
+    return GradReport(model.blocks[0].construction.label(), norms, samples)
 
 
 def _row_weighted(model, batches, values, what):
@@ -140,11 +139,11 @@ def _row_weighted(model, batches, values, what):
     return tuple(float(t / samples) for t in totals), samples
 
 
-def _block_grad_norms(model, x, labels, loss_fn):
+def _block_grad_norms(model, x, labels):
     """Sum over the rows of x of ||d loss / d y_k||_2, one per block.
     The batch's tape is unreferenced once this returns."""
     outs = []
-    loss = loss_fn(model.forward(Tensor(x, requires_grad=True), block_outputs=outs), labels)
+    loss = softmax_cross_entropy(model.forward(Tensor(x, requires_grad=True), block_outputs=outs), labels)
     # parameter gradients left by an earlier backward were allocated last,
     # above its freed tape; freed before this forward, they let the allocator
     # hand that whole region back to the system and fault it in again
@@ -191,13 +190,13 @@ def _witness_scales(model, x, fixed):
     return scales
 
 
-def amplification_probe(construction, depth, width, batch=2, seed=0):
+def amplification_probe(construction, depth, width, seed=0):
     """Backward magnification through a bare zero-branch block stack.
 
     Builds ``depth`` blocks with every branch forced to the zero map,
-    runs a random input through them, seeds the top with an all-ones
-    upstream gradient, and returns the gradient at each of the depth+1
-    block boundaries (index 0 is the stack input, index depth the stack
+    runs a random two-row input through them, seeds the top with an
+    all-ones upstream gradient, and returns the gradient at each of the
+    depth+1 block boundaries (index 0 is the stack input, index depth the stack
     output). With branches at zero the scaled kinds multiply the
     gradient by exactly lambda per block, so boundary k carries
     lambda^(depth-k) per coordinate.
@@ -211,7 +210,7 @@ def amplification_probe(construction, depth, width, batch=2, seed=0):
         block = build_block(construction, width, hidden=width, rng=rng)
         block.branch.zero_()
         blocks.append(block)
-    x = Tensor(rng.normal(0.0, 1.0, (batch, width)), requires_grad=True)
+    x = Tensor(rng.normal(0.0, 1.0, (2, width)), requires_grad=True)
     boundaries = [x]
     h = x
     for block in blocks:

@@ -2,6 +2,8 @@
 
 import numbers
 
+__all__ = ["DimensionError", "ContractError", "ConfigError", "FormatError", "SingularRatioError"]
+
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible and not trailing-axis broadcastable."""

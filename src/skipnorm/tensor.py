@@ -146,7 +146,7 @@ class Tensor:
                 if keep is not None and node not in keep:
                     node.grad = None
 
-    # convenience operators used by the demos and the harness
+    # operator shorthands for the tape ops; the tests use `*`
     def __add__(self, other):
         return add(self, other)
 

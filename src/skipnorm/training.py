@@ -138,12 +138,12 @@ def sgd_step(params, velocity, lr, momentum, weight_decay):
 _EVAL_BATCH = 256
 
 
-def _eval_logits(model, x, batch_size):
+def _eval_logits(model, x):
     """(slice, logits) for each batch of x, batch norms in inference
     mode, evaluated without a tape."""
     model.set_norm_mode("inference")
     with np.errstate(over="ignore", invalid="ignore"), no_grad():
-        return [(sl, model.forward(Tensor(x[sl]))) for sl in _batched(len(x), batch_size)]
+        return [(sl, model.forward(Tensor(x[sl]))) for sl in _batched(len(x), _EVAL_BATCH)]
 
 
 def _mean_loss(logits, y):
@@ -165,20 +165,20 @@ def _error_rate(logits, y):
     return wrong / rows
 
 
-def evaluate_loss(model, x, y, batch_size=_EVAL_BATCH):
+def evaluate_loss(model, x, y):
     """Mean cross-entropy over a labeled set, batch norms in inference
     mode, evaluated without a tape.
 
     A diverging model evaluates to inf rather than warning; the curves
     carry such entries as data.
     """
-    return _mean_loss(_eval_logits(model, x, batch_size), y)
+    return _mean_loss(_eval_logits(model, x), y)
 
 
-def evaluate_error(model, x, y, batch_size=_EVAL_BATCH):
+def evaluate_error(model, x, y):
     """Top-1 classification error rate, batch norms in inference mode,
     evaluated without a tape."""
-    return _error_rate(_eval_logits(model, x, batch_size), y)
+    return _error_rate(_eval_logits(model, x), y)
 
 
 def train(cfg, data):
@@ -240,7 +240,7 @@ def train(cfg, data):
             val_curve.extend([float("inf")] * pad)
             break
         train_curve.append(loss_sum / seen)
-        logits = _eval_logits(model, data.x_test, _EVAL_BATCH)
+        logits = _eval_logits(model, data.x_test)
         val_curve.append(_mean_loss(logits, data.y_test))
 
     diverged = diverged_epoch is not None
@@ -248,7 +248,7 @@ def train(cfg, data):
         error = 1.0
     else:
         if logits is None:
-            logits = _eval_logits(model, data.x_test, _EVAL_BATCH)
+            logits = _eval_logits(model, data.x_test)
         error = _error_rate(logits, data.y_test)
     result = RunResult(
         label=cfg.construction.label(),
@@ -366,7 +366,7 @@ def _environment():
             "cpu_count": os.cpu_count()}
 
 
-def write_manifest(path, config_dict, artifact_paths, wall_clock=None, extra=None):
+def write_manifest(path, config_dict, artifact_paths, wall_clock=None):
     """Write a JSON run manifest: config echo, sha256 of each artifact and
     the ``environment`` block (Python, numpy and BLAS versions, BLAS
     thread variables, CPU count)."""
@@ -378,8 +378,6 @@ def write_manifest(path, config_dict, artifact_paths, wall_clock=None, extra=Non
     manifest = {"config": config_dict, "artifacts": artifacts, "environment": _environment()}
     if wall_clock is not None:
         manifest["wall_clock_seconds"] = wall_clock
-    if extra:
-        manifest.update(extra)
     with open(path, "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skipnorm import (
     AffineReluBranch,
@@ -574,3 +576,49 @@ class TestParseLambdaText:
         for token in ("xskip-ln", "rskip-ln"):
             with pytest.raises(ConfigError):
                 SkipConstruction.parse(token, text)
+
+
+@st.composite
+def presets(draw):
+    """Any construction preset: every kind, several lambdas and residual scales."""
+    kind = draw(st.sampled_from(list(SkipKind)))
+    if kind in (SkipKind.RSKIP_LN, SkipKind.RSKIP_BN):
+        return SkipConstruction(kind, lam=draw(st.integers(1, 4)))
+    if kind in (SkipKind.XSKIP, SkipKind.XSKIP_LN, SkipKind.XSKIP_BN):
+        return SkipConstruction(kind, lam=draw(st.sampled_from([0.5, 1.0, 2.0, 3.25])))
+    if kind is SkipKind.CONTRACTED_F_LN:
+        return SkipConstruction(kind, residual_scale=draw(st.sampled_from([0.25, 1.0, 3.0])))
+    return SkipConstruction(kind)
+
+
+class TestCheckpointProperty:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        construction=presets(),
+        depth=st.integers(1, 3),
+        d_in=st.integers(1, 4),
+        width=st.integers(1, 5),
+        hidden=st.integers(1, 4),
+        classes=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_save_load_save_is_byte_identical(self, tmp_path, construction, depth, d_in, width, hidden, classes,
+                                              seed):
+        # distinct values in every parameter, and batch-norm running
+        # statistics moved off their defaults by one training-mode forward,
+        # so any disagreement between the checkpoint layout and the order of
+        # parameters() changes the second file
+        rng = np.random.default_rng(seed)
+        model = build_model(ModelConfig(construction, depth, d_in, width, hidden, classes), seed)
+        for _, p, _ in model.parameters():
+            p.data = rng.normal(size=p.data.shape)
+        if construction.uses_bn:
+            model.set_norm_mode("training")
+            model.forward(rng.normal(size=(3, d_in)))
+            assert all((p.running_var != 1.0).any() for b in model.blocks for p in b.norms)
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_model(model, first)
+        loaded, cfg = load_model(first)
+        assert cfg == model.config
+        save_model(loaded, second)
+        assert first.read_bytes() == second.read_bytes()

@@ -1,9 +1,13 @@
 """End-to-end command-line behavior, exit codes, and artifact layout."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skipnorm import ModelConfig, SkipConstruction, SkipKind, build_model, cli, load_model, read_csv_rows, save_model
 
@@ -289,3 +293,121 @@ def test_manifest_records_the_environment_and_leaves_the_csv_alone(tmp_path, cap
     assert out.read_text() == printed
     manifest = json.loads((tmp_path / "norms.csv.manifest.json").read_text())
     assert {"python", "numpy", "blas", "cpu_count"} <= set(manifest["environment"])
+
+
+class TestPathErrors:
+    """A path the command cannot open as it needs exits 2 with an error
+    line and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--construction", "plain"] + TINY + ["--out", "{dir}"],
+            ["train", "--construction", "plain"] + TINY + ["--checkpoint", "{dir}"],
+            ["gradnorm", "--checkpoint", "{dir}"] + TINY_NO_TRAIN,
+            ["gradnorm", "--checkpoint", "{dir}/missing.bin"] + TINY_NO_TRAIN,
+            ["train", "--dataset", "cifar10", "--data-path", "{file}", "--subset", "20"] + TINY,
+            ["gradnorm", "--dataset", "cifar10", "--data-path", "{file}", "--subset", "20"],
+            ["ratio-check", "--samples", "2", "--out", "{dir}"],
+            ["gradcheck", "--samples", "1", "--out", "{dir}"],
+            ["gradcheck", "--samples", "1", "--out", "{dir}/missing/table.csv"],
+        ],
+        ids=["train-out", "train-checkpoint", "gradnorm-checkpoint", "gradnorm-missing-checkpoint",
+             "train-data-path", "gradnorm-data-path", "ratio-check-out", "gradcheck-out", "gradcheck-out-missing"],
+    )
+    def test_exit_2(self, argv, tmp_path, capsys):
+        file = tmp_path / "file.bin"
+        file.write_bytes(b"not a directory")
+        assert_exit_2([a.format(dir=tmp_path, file=file) for a in argv], capsys)
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process run; argparse's
+    SystemExit counts as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# flag: (valid values, malformed values). Every size flag is always
+# given, so no command reaches a large default; path values are
+# placeholders filled in under tmp_path.
+_MODEL_SIZES = {"--depth": (["1", "2"], ["0", "-1", "x"]), "--width": (["1", "3"], ["0"]),
+                "--hidden": (["2", "3"], ["0"])}
+_MODEL = {
+    "--construction": (["plain", "2xskip", "xskip-ln", "2rskip-ln", "wskip-ln", "2xskip-bn", "rskip-bn",
+                        "contracted-f-ln:3", "plain,2xskip-ln"], ["contracted-f-ln:0", "plain:2", "bogus", ""]),
+    "--lambda": (["1", "2", "3"], ["", "0", "-1", "nan", "x", "0.5"]),
+    "--w-skip-init": (["1", "-2"], ["nan", "inf"]),
+}
+_DATA_SIZES = {"--subset": (["10", "20"], ["5", "0"]), "--train-n": (["8", "20"], ["0", "-3"]),
+               "--test-n": (["4", "8"], ["0"])}
+_DATA = {
+    "--dataset": (["spiral", "moons", "cifar10"], ["mnist"]),
+    "--data-path": (["{cifar}"], ["{file}", "{dir}", "{missing}"]),
+    "--classes": (["2", "4"], ["1", "0"]),
+    "--noise": (["0", "0.2"], ["-1", "nan"]),
+}
+_TRAIN_SIZES = {"--epochs": (["0", "1", "2"], ["-1"]), "--batch-size": (["4", "16"], ["0"])}
+_TRAIN = {"--lr": (["0.05", "1e307"], ["0", "nan", "-1"])}
+_OUT = {"--out": (["{new}"], ["{dir}", "{missing}/out.csv"]), "--seed": (["0", "1"], ["-1", "x"])}
+_COMMANDS = {  # command: (size flags, optional flags)
+    "train": ({**_MODEL_SIZES, **_DATA_SIZES, **_TRAIN_SIZES},
+              {**_MODEL, **_DATA, **_TRAIN, **_OUT, "--checkpoint": (["{new}.bin"], ["{dir}", "{missing}/m.bin"])}),
+    "matrix": ({**_MODEL_SIZES, **_DATA_SIZES, **_TRAIN_SIZES, "--runs": (["1", "2"], ["0"])},
+               {**_MODEL, **_DATA, **_TRAIN, **_OUT}),
+    "gradnorm": ({**_MODEL_SIZES, **_DATA_SIZES, "--samples": (["1", "8"], ["0"])},
+                 {**_MODEL, **_DATA, **_OUT, "--checkpoint": (["{checkpoint}"], ["{file}", "{dir}", "{missing}"])}),
+    "ratio-check": ({"--width": (["1", "3"], ["0"]), "--samples": (["1", "2"], ["0", "-1"])},
+                    {**_OUT, "--lambda": (["1", "2,3", "4"], ["", "0", "x", "1.5"])}),
+    "gradcheck": ({"--samples": (["1"], ["0", "-1"])}, {**_OUT, "--tol": (["1e-4", "0", "1"], ["nan", "-1", "inf"])}),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command line with all valid values, or one malformed value, or
+    an unknown flag or command."""
+    command = draw(st.sampled_from([*_COMMANDS, "nosuch"]))
+    sizes, optional = _COMMANDS.get(command, ({}, {}))
+    bad = draw(st.one_of(st.none(), st.sampled_from([*sizes, *optional, "--bogus"])))
+    pairs = [("--bogus", "1")] if bad == "--bogus" else []
+    for flag, (valid, malformed) in {**sizes, **optional}.items():
+        if flag == bad:
+            pairs.append((flag, draw(st.sampled_from(malformed))))
+        elif flag in sizes or draw(st.booleans()):
+            pairs.append((flag, draw(st.sampled_from(valid))))
+    pairs = draw(st.permutations(pairs))
+    return [command] + [token for pair in pairs for token in pair]
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=argvs())
+    def test_exit_0_1_or_2_and_never_a_traceback(self, tmp_path, monkeypatch, argv):
+        monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
+        paths = {"dir": tmp_path / "empty", "file": tmp_path / "file.bin", "cifar": tmp_path / "cifar",
+                 "checkpoint": tmp_path / "model.bin", "missing": tmp_path / "missing", "new": tmp_path / "new"}
+        if not paths["cifar"].exists():
+            paths["dir"].mkdir()
+            paths["file"].write_bytes(b"not a checkpoint nor a directory")
+            paths["cifar"].mkdir()
+            write_cifar_dir(paths["cifar"], n_train=30, n_test=20)
+            cfg = ModelConfig(SkipConstruction(SkipKind.XSKIP_BN, lam=2.0), 2, 2, 3, 3, 3)
+            save_model(build_model(cfg, seed=0), paths["checkpoint"])
+        code, out, err = run_cli([token.format(**paths) for token in argv])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert "error:" in err and out == ""
+
+
+def test_gradnorm_of_a_checkpoint_with_fewer_classes_than_the_data_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "model.bin"
+    save_model(build_model(ModelConfig(SkipConstruction(SkipKind.XSKIP, lam=2.0), 2, 2, 8, 8, 3), seed=0), ckpt)
+    assert_exit_2(["gradnorm", "--checkpoint", str(ckpt), "--classes", "4"] + TINY_NO_TRAIN + ["--samples", "8"],
+                  capsys)

@@ -1,9 +1,13 @@
 """Synthetic dataset generation and the binary image-batch reader."""
 
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from skipnorm import ConfigError, DatasetSpec, FormatError, gen_synthetic, load_cifar10
 
@@ -166,3 +170,35 @@ class TestBatchFiles:
         make_cifar_dir(tmp_path, n_train=50)
         with pytest.raises(ConfigError, match="class"):
             load_cifar10(tmp_path, subset=200)
+
+
+class TestCorruptedBatchFiles:
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_only_typed_errors(self, tmp_path, data):
+        """A truncated, overwritten, extended or replaced batch file either
+        loads or raises FormatError or ConfigError, never anything else."""
+        root = make_cifar_dir(Path(tempfile.mkdtemp(dir=tmp_path)), n_train=30, n_test=20)
+        name = data.draw(st.sampled_from(["data_batch_1.bin", "test_batch.bin", "data_batch_2.bin"]))
+        path = root / name
+        raw = bytearray(path.read_bytes() if path.exists() else b"")
+        op = data.draw(st.sampled_from(["truncate", "overwrite", "label", "append", "replace"]))
+        if op == "truncate":
+            del raw[data.draw(st.integers(0, max(len(raw) - 1, 0))):]
+        elif op == "overwrite" and raw:
+            for _ in range(data.draw(st.integers(1, 5))):
+                raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+        elif op == "label" and raw:
+            raw[RECORD * data.draw(st.integers(0, len(raw) // RECORD - 1))] = data.draw(st.integers(0, 255))
+        elif op == "append":
+            raw += data.draw(st.binary(min_size=1, max_size=2 * RECORD))
+        else:
+            raw = data.draw(st.binary(max_size=3 * RECORD))
+        path.write_bytes(bytes(raw))
+        subset = data.draw(st.sampled_from([10, 20, 30]))
+        try:
+            loaded = load_cifar10(root, subset=subset, seed=data.draw(st.integers(0, 3)))
+        except (FormatError, ConfigError):
+            return
+        assert loaded.x_train.shape == (subset, 3072)
+        assert np.isfinite(loaded.x_train).all() and np.isfinite(loaded.x_test).all()

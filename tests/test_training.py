@@ -1,15 +1,17 @@
 """Trainer determinism, divergence handling, and result serialization."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skipnorm import (
     ConfigError,
+    Dataset,
     DatasetSpec,
     ModelConfig,
     SkipConstruction,
@@ -345,3 +347,36 @@ class TestEmptyMatrix:
     def test_refused(self, constructions, seeds):
         with pytest.raises(ConfigError):
             run_matrix(constructions, seeds, tiny_cfg(PLAIN), tiny_data())
+
+
+class TestUpdateDivergence:
+    def test_a_finite_loss_whose_update_overflows_rolls_back(self):
+        # one batch per epoch whose loss is finite: only the SGD update can
+        # make the run diverge in epoch 0, by overflowing a parameter
+        spiral = tiny_data(n=16)
+        data = Dataset("spiral-x1000", 3, 1e3 * spiral.x_train, spiral.y_train, spiral.x_test, spiral.y_test)
+        cfg = tiny_cfg(PLAIN, width=4, hidden=4, batch_size=16, lr=1e307)
+        fresh = build_model(ModelConfig(PLAIN, 2, 2, 4, 4, 3), seed=0)
+        assert math.isfinite(evaluate_loss(fresh, data.x_train, data.y_train))
+        result, model = train(cfg, data)
+        assert result.diverged and result.diverged_epoch == 0
+        assert result.error_rate == 1.0
+        assert result.train_loss == result.val_loss == (float("inf"),) * 3
+        for (name, p, _), (_, q, _) in zip(model.parameters(), fresh.parameters()):
+            assert p.data.tobytes() == q.data.tobytes(), name
+
+
+class TestManifestDigests:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(contents=st.dictionaries(st.sampled_from(["csv", "checkpoint", "log", "extra"]), st.binary(max_size=300),
+                                    min_size=1))
+    def test_every_artifact_digest_is_the_sha256_of_its_file(self, tmp_path, contents):
+        paths = {}
+        for name, blob in contents.items():
+            paths[name] = tmp_path / f"{name}.bin"
+            paths[name].write_bytes(blob)
+        write_manifest(tmp_path / "run.manifest.json", {"command": "test"}, paths)
+        artifacts = json.loads((tmp_path / "run.manifest.json").read_text())["artifacts"]
+        assert set(artifacts) == set(contents)
+        for name, blob in contents.items():
+            assert artifacts[name] == {"path": str(paths[name]), "sha256": hashlib.sha256(blob).hexdigest()}
