@@ -49,25 +49,25 @@ class SkipKind(Enum):
 
 class _Lowering(NamedTuple):
     """One SkipKind as a point of the family y_k = N(a*x + c*y_{k-1}),
-    k = 1..levels, with y_0 = F(x); no levels means the bare a*x + c*F."""
+    k = 1..levels, with y_0 = F(x); no levels means the bare a*x + c*F.
+    Lambda is unused, and stays 1, unless a or levels is "lam"."""
 
     norm: str  # "LN", "BN", or "" for none
-    a: str  # shortcut: "1", "lam", or "w" (the learned w_skip vector)
+    a: str  # shortcut: "1", "lam" (a real lambda > 0, printed :g), or "w" (the learned w_skip vector)
     c: str  # residual: "1", or "c" (residual_scale)
-    levels: object  # 0, 1, or "lam"
-    lam: str  # "real" (finite > 0, printed :g), "int" (integer >= 1), or "" (unused, stays 1)
+    levels: object  # 0, 1, or "lam" (an integer lambda >= 1)
     name: str  # label template over {lam} and {c}
 
 
 _LOWERING = {
-    SkipKind.PLAIN: _Lowering("", "1", "1", 0, "", "plain"),
-    SkipKind.XSKIP: _Lowering("", "lam", "1", 0, "real", "{lam}xSkip"),
-    SkipKind.XSKIP_LN: _Lowering("LN", "lam", "1", 1, "real", "{lam}xSkip+LN"),
-    SkipKind.RSKIP_LN: _Lowering("LN", "1", "1", "lam", "int", "{lam}rSkip+LN"),
-    SkipKind.WSKIP_LN: _Lowering("LN", "w", "1", 1, "", "wSkip+LN"),
-    SkipKind.XSKIP_BN: _Lowering("BN", "lam", "1", 1, "real", "{lam}xSkip+BN"),
-    SkipKind.RSKIP_BN: _Lowering("BN", "1", "1", "lam", "int", "{lam}rSkip+BN"),
-    SkipKind.CONTRACTED_F_LN: _Lowering("LN", "1", "c", 1, "", "LN(x+{c}F)"),
+    SkipKind.PLAIN: _Lowering("", "1", "1", 0, "plain"),
+    SkipKind.XSKIP: _Lowering("", "lam", "1", 0, "{lam}xSkip"),
+    SkipKind.XSKIP_LN: _Lowering("LN", "lam", "1", 1, "{lam}xSkip+LN"),
+    SkipKind.RSKIP_LN: _Lowering("LN", "1", "1", "lam", "{lam}rSkip+LN"),
+    SkipKind.WSKIP_LN: _Lowering("LN", "w", "1", 1, "wSkip+LN"),
+    SkipKind.XSKIP_BN: _Lowering("BN", "lam", "1", 1, "{lam}xSkip+BN"),
+    SkipKind.RSKIP_BN: _Lowering("BN", "1", "1", "lam", "{lam}rSkip+BN"),
+    SkipKind.CONTRACTED_F_LN: _Lowering("LN", "1", "c", 1, "LN(x+{c}F)"),
 }
 _NORM_PARAMS = {"LN": LayerNormParams, "BN": BatchNormParams}
 
@@ -91,10 +91,10 @@ class SkipConstruction:
         if not isinstance(self.kind, SkipKind):
             raise ConfigError(f"kind must be a SkipKind, got {self.kind!r}")
         row = self._lowered
-        if row.lam == "real":
+        if row.a == "lam":
             if not (math.isfinite(self.lam) and self.lam > 0):
                 raise ConfigError(f"{self.kind.value} requires finite lambda > 0, got {self.lam}")
-        elif row.lam == "int":
+        elif row.levels == "lam":
             if self.lam < 1 or not float(self.lam).is_integer():
                 raise ConfigError(f"{self.kind.value} requires integer lambda >= 1, got {self.lam}")
         elif self.lam != 1.0:
@@ -117,7 +117,7 @@ class SkipConstruction:
 
     @property
     def uses_lambda(self):
-        return self._lowered.lam != ""
+        return "lam" in (self._lowered.a, self._lowered.levels)
 
     @property
     def uses_ln(self):
@@ -128,7 +128,7 @@ class SkipConstruction:
         return self._lowered.norm == "BN"
 
     def _lam_text(self):
-        return f"{int(self.lam)}" if self._lowered.lam == "int" else f"{self.lam:g}"
+        return f"{int(self.lam)}" if self._lowered.levels == "lam" else f"{self.lam:g}"
 
     def label(self):
         """Short method name, e.g. 2xSkip+LN or LN(x+3F)."""
@@ -154,7 +154,7 @@ class SkipConstruction:
     def parse(cls, token, lam=None):
         """Parse a CLI token like ``xskip-ln``, ``2rskip-ln``, or
         ``contracted-f-ln:3``. A leading number or ``lam`` (a number or its
-        text) supplies lambda; the ``:c`` suffix the residual scale."""
+        text; not both) supplies lambda; the ``:c`` suffix the residual scale."""
         token = token.strip().lower()
         residual_scale = None
         if ":" in token:
@@ -166,6 +166,8 @@ class SkipConstruction:
             digits += head[0]
             head = head[1:]
         if digits:
+            if lam is not None:
+                raise ConfigError(f"lambda given twice: {token!r} has a prefix and lambda is {lam!r}")
             lam = _parse_number(digits, f"lambda prefix of {token!r}")
         try:
             kind = SkipKind(head)
@@ -173,7 +175,7 @@ class SkipConstruction:
             valid = ", ".join(k.value for k in SkipKind)
             raise ConfigError(f"unknown construction {token!r}; expected one of: {valid}")
         kwargs = {}
-        if _LOWERING[kind].lam:
+        if cls(kind).uses_lambda:
             kwargs["lam"] = 1.0 if lam is None else _parse_number(lam, f"lambda of {kind.value}")
         elif lam is not None:
             raise ConfigError(f"{kind.value} does not take lambda")

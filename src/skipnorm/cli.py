@@ -79,6 +79,11 @@ def _make_dataset(args):
     return gen_synthetic(spec)
 
 
+def _train_config(args, construction, seed=0):
+    return TrainConfig(construction, depth=args.depth, width=args.width, hidden=args.hidden, epochs=args.epochs,
+                       batch_size=args.batch_size, lr=args.lr, seed=seed, w_skip_init=args.w_skip_init)
+
+
 def _write_text(path, text):
     with open(path, "w") as fh:
         fh.write(text)
@@ -105,17 +110,7 @@ def _emit(args, text, extra_config=None, artifacts=None, wall_clock=None):
 def _cmd_train(args):
     construction = SkipConstruction.parse(args.construction, args.lam)
     data = _make_dataset(args)
-    cfg = TrainConfig(
-        construction,
-        depth=args.depth,
-        width=args.width,
-        hidden=args.hidden,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        seed=args.seed,
-        w_skip_init=args.w_skip_init,
-    )
+    cfg = _train_config(args, construction, args.seed)
     result, model = train(cfg, data)
     artifacts = {}
     if args.checkpoint:
@@ -139,16 +134,7 @@ def _cmd_matrix(args):
     lams = _parse_lams(args.lam) if args.lam is not None else None
     cells = _expand_cells(tokens, lams)
     data = _make_dataset(args)
-    base = TrainConfig(
-        cells[0],
-        depth=args.depth,
-        width=args.width,
-        hidden=args.hidden,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        w_skip_init=args.w_skip_init,
-    )
+    base = _train_config(args, cells[0])
     seeds = list(range(args.seed, args.seed + args.runs))
 
     def progress(r):

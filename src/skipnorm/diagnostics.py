@@ -220,11 +220,18 @@ def amplification_probe(construction, depth, width, seed=0):
     return [b.grad.copy() for b in boundaries]
 
 
-def _randomized_norms(block, rng):
-    """Move norm parameters off their init so their gradients are generic."""
-    for p in block.norms:
-        p.gain.data = 1.0 + 0.3 * rng.normal(size=p.dim)
-        p.bias.data = 0.3 * rng.normal(size=p.dim)
+def _randomized(p, rng):
+    """Move norm parameters ``p`` off their init so their gradients are generic."""
+    p.gain.data = 1.0 + 0.3 * rng.normal(size=p.dim)
+    p.bias.data = 0.3 * rng.normal(size=p.dim)
+    return p
+
+
+# every block construction the battery checks, as construction tokens
+_BATTERY_PRESETS = (
+    "plain", "0.5xskip", "3xskip", "2xskip-ln", "1rskip-ln", "2rskip-ln", "3rskip-ln", "4rskip-ln",
+    "wskip-ln", "2xskip-bn", "2rskip-bn", "contracted-f-ln:0.5", "contracted-f-ln:3",
+)
 
 
 def gradcheck_battery(instances=20, seed=0, tol=1e-4):
@@ -239,7 +246,6 @@ def gradcheck_battery(instances=20, seed=0, tol=1e-4):
         raise ContractError(f"gradcheck_battery needs at least one instance per case, got {instances}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    rows = []
 
     def leaf(shape, away=0.0):
         data = rng.normal(0.0, 1.0, shape)
@@ -247,38 +253,17 @@ def gradcheck_battery(instances=20, seed=0, tol=1e-4):
             data = np.sign(data) * (np.abs(data) + away)
         return Tensor(data, requires_grad=True)
 
-    def run(name, case):
-        errors = []
-        for _ in range(instances):
-            f, inputs = case()
-            errors.append(gradcheck(f, inputs, tol=tol).max_rel_err)
-        worst = _worst(errors)
-        rows.append((name, worst, tol, worst <= tol))
+    def binary(op, a_shape, b_shape):
+        def case():
+            a, b = leaf(a_shape), leaf(b_shape)
+            return lambda *_: tsum(op(a, b)), [a, b]
 
-    def add_case():
-        a, b = leaf((3, 4)), leaf((3, 4))
-        return lambda *_: tsum(add(a, b)), [a, b]
-
-    def add_broadcast_case():
-        a, b = leaf((3, 4)), leaf((4,))
-        return lambda *_: tsum(add(a, b)), [a, b]
+        return case
 
     def scale_case():
         a = leaf((2, 5))
         c = float(rng.uniform(-3.0, 3.0))
         return lambda *_: tsum(scale(a, c)), [a]
-
-    def ewmul_case():
-        a, b = leaf((2, 5)), leaf((2, 5))
-        return lambda *_: tsum(ewmul(a, b)), [a, b]
-
-    def ewmul_broadcast_case():
-        a, b = leaf((2, 5)), leaf((5,))
-        return lambda *_: tsum(ewmul(a, b)), [a, b]
-
-    def matmul_case():
-        a, b = leaf((3, 4)), leaf((4, 2))
-        return lambda *_: tsum(matmul(a, b)), [a, b]
 
     def relu_case():
         # entries bounded away from the kink so central differences stay clean
@@ -292,16 +277,12 @@ def gradcheck_battery(instances=20, seed=0, tol=1e-4):
 
     def layer_norm_case():
         x = leaf((4, 6))
-        p = LayerNormParams.create(6)
-        p.gain.data = 1.0 + 0.3 * rng.normal(size=6)
-        p.bias.data = 0.3 * rng.normal(size=6)
+        p = _randomized(LayerNormParams.create(6), rng)
         return lambda *_: tsum(layer_norm(x, p)), [x, p.gain, p.bias]
 
     def batch_norm_train_case():
         x = leaf((6, 4))
-        p = BatchNormParams.create(4)
-        p.gain.data = 1.0 + 0.3 * rng.normal(size=4)
-        p.bias.data = 0.3 * rng.normal(size=4)
+        p = _randomized(BatchNormParams.create(4), rng)
         # normalized columns sum to zero, so an unweighted sum would hide
         # the input gradient entirely
         c = Tensor(rng.normal(size=(6, 4)))
@@ -313,61 +294,53 @@ def gradcheck_battery(instances=20, seed=0, tol=1e-4):
         p.mode = "inference"
         p.running_mean = rng.normal(size=4)
         p.running_var = rng.uniform(0.5, 2.0, size=4)
-        p.gain.data = 1.0 + 0.3 * rng.normal(size=4)
-        p.bias.data = 0.3 * rng.normal(size=4)
+        _randomized(p, rng)
         return lambda *_: tsum(batch_norm(x, p)), [x, p.gain, p.bias]
 
-    run("op:add", add_case)
-    run("op:add-vector", add_broadcast_case)
-    run("op:scale", scale_case)
-    run("op:ewmul", ewmul_case)
-    run("op:ewmul-vector", ewmul_broadcast_case)
-    run("op:matmul", matmul_case)
-    run("op:relu", relu_case)
-    run("op:softmax_cross_entropy", xent_case)
-    run("op:layer_norm", layer_norm_case)
-    run("op:batch_norm-training", batch_norm_train_case)
-    run("op:batch_norm-inference", batch_norm_inference_case)
+    def block_case(construction):
+        # batch norm absorbs any shift of its input that is uniform across
+        # the batch: the branch output bias always produces one, a hidden
+        # bias does whenever its relu unit is active on every row, and
+        # inner norm biases do recursively. Gradients along such invariant
+        # directions are (near-)zero by construction and finite differences
+        # there measure only rounding noise, so the bias directions are
+        # left to exact invariance tests.
+        skip_names = set()
+        if construction.uses_bn:
+            skip_names.update({"branch.b1", "branch.b2"})
+            skip_names.update(f"norm{k}.bias" for k in range(1, construction.levels))
 
-    block_cases = [
-        SkipConstruction(SkipKind.PLAIN),
-        SkipConstruction(SkipKind.XSKIP, lam=0.5),
-        SkipConstruction(SkipKind.XSKIP, lam=3.0),
-        SkipConstruction(SkipKind.XSKIP_LN, lam=2.0),
-        SkipConstruction(SkipKind.RSKIP_LN, lam=1),
-        SkipConstruction(SkipKind.RSKIP_LN, lam=2),
-        SkipConstruction(SkipKind.RSKIP_LN, lam=3),
-        SkipConstruction(SkipKind.RSKIP_LN, lam=4),
-        SkipConstruction(SkipKind.WSKIP_LN),
-        SkipConstruction(SkipKind.XSKIP_BN, lam=2.0),
-        SkipConstruction(SkipKind.RSKIP_BN, lam=2),
-        SkipConstruction(SkipKind.CONTRACTED_F_LN, residual_scale=0.5),
-        SkipConstruction(SkipKind.CONTRACTED_F_LN, residual_scale=3.0),
-    ]
-    for construction in block_cases:
-
-        def block_case(construction=construction):
+        def case():
             block = build_block(construction, width=5, hidden=4, rng=rng)
-            _randomized_norms(block, rng)
+            for p in block.norms:
+                _randomized(p, rng)
             if block.w_skip is not None:
                 block.w_skip.data = 1.0 + 0.2 * rng.normal(size=5)
             x = leaf((3, 5))
             c = Tensor(rng.normal(size=(3, 5)))  # see batch_norm_train_case
-            # batch norm absorbs any shift of its input that is uniform
-            # across the batch: the branch output bias always produces one,
-            # a hidden bias does whenever its relu unit is active on every
-            # row, and inner norm biases do recursively. Gradients along
-            # such invariant directions are (near-)zero by construction and
-            # finite differences there measure only rounding noise, so the
-            # bias directions are left to exact invariance tests.
-            skip_names = set()
-            if construction.uses_bn:
-                skip_names.update({"branch.b1", "branch.b2"})
-                skip_names.update(f"norm{k}.bias" for k in range(1, construction.levels))
             inputs = [x] + [p for name, p, _ in block.parameters() if name not in skip_names]
             return lambda *_: tsum(ewmul(block.forward(x), c)), inputs
 
-        run(f"block:{construction.label()}", block_case)
+        return case
+
+    cases = [
+        ("op:add", binary(add, (3, 4), (3, 4))),
+        ("op:add-vector", binary(add, (3, 4), (4,))),
+        ("op:scale", scale_case),
+        ("op:ewmul", binary(ewmul, (2, 5), (2, 5))),
+        ("op:ewmul-vector", binary(ewmul, (2, 5), (5,))),
+        ("op:matmul", binary(matmul, (3, 4), (4, 2))),
+        ("op:relu", relu_case),
+        ("op:softmax_cross_entropy", xent_case),
+        ("op:layer_norm", layer_norm_case),
+        ("op:batch_norm-training", batch_norm_train_case),
+        ("op:batch_norm-inference", batch_norm_inference_case),
+    ]
+    cases += [(f"block:{c.label()}", block_case(c)) for c in map(SkipConstruction.parse, _BATTERY_PRESETS)]
+    rows = []
+    for name, case in cases:
+        worst = _worst([gradcheck(*case(), tol=tol).max_rel_err for _ in range(instances)])
+        rows.append((name, worst, tol, worst <= tol))
     return rows
 
 

@@ -577,6 +577,12 @@ class TestParseLambdaText:
             with pytest.raises(ConfigError):
                 SkipConstruction.parse(token, text)
 
+    @pytest.mark.parametrize("token, lam", [("2xskip", 3), ("2rskip-ln", "5"), ("0.5xskip-ln", 0.5),
+                                            ("1rskip-bn", "1")])
+    def test_lambda_given_twice_is_a_config_error(self, token, lam):
+        with pytest.raises(ConfigError, match="twice"):
+            SkipConstruction.parse(token, lam)
+
 
 @st.composite
 def presets(draw):

@@ -79,6 +79,12 @@ class TestMatrixCommand:
         methods = {r["method"] for r in read_csv_rows(out.read_text()) if r["row"] == "run"}
         assert methods == {"1xSkip+LN", "2xSkip+LN"}
 
+    def test_lambda_list_leaves_a_prefixed_token_one_cell(self, capsys):
+        argv = ["matrix", "--construction", "2xskip", "--lambda", "1,2"] + TINY + ["--runs", "1"]
+        assert cli.main(argv) == 0
+        rows = read_csv_rows(capsys.readouterr().out)
+        assert [r["method"] for r in rows if r["row"] == "run"] == ["2xSkip"]
+
 
 class TestGradnormCommand:
     def test_untrained_model_sweep(self, tmp_path):
@@ -229,6 +235,11 @@ class TestLambdaText:
     @pytest.mark.parametrize("command", ["train", "gradnorm"])
     @pytest.mark.parametrize("construction", ["xskip-ln", "rskip-ln"])
     def test_bad_lambda_exits_2(self, construction, command, lam, capsys):
+        tiny = TINY_NO_TRAIN if command == "gradnorm" else TINY
+        assert_exit_2([command, "--construction", construction, "--lambda", lam] + tiny, capsys)
+
+    @pytest.mark.parametrize("command, construction, lam", [("train", "2xskip", "3"), ("gradnorm", "2rskip-ln", "5")])
+    def test_lambda_given_twice_exits_2(self, command, construction, lam, capsys):
         tiny = TINY_NO_TRAIN if command == "gradnorm" else TINY
         assert_exit_2([command, "--construction", construction, "--lambda", lam] + tiny, capsys)
 

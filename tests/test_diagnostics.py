@@ -1,5 +1,6 @@
 """Gradient-norm sweeps, amplification probes, and the check batteries."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -522,6 +523,23 @@ class TestBatteries:
         assert sum(1 for n in names if n.startswith("op:")) == 11
         assert sum(1 for n in names if n.startswith("block:")) == 13
         assert all(ok for _, _, _, ok in rows), [r for r in rows if not r[3]]
+
+    def test_gradcheck_battery_row_names_are_pinned(self):
+        names = [name for name, _, _, _ in gradcheck_battery(instances=1, seed=0)]
+        assert names == [
+            "op:add", "op:add-vector", "op:scale", "op:ewmul", "op:ewmul-vector", "op:matmul", "op:relu",
+            "op:softmax_cross_entropy", "op:layer_norm", "op:batch_norm-training", "op:batch_norm-inference",
+            "block:plain", "block:0.5xSkip", "block:3xSkip", "block:2xSkip+LN", "block:1rSkip+LN",
+            "block:2rSkip+LN", "block:3rSkip+LN", "block:4rSkip+LN", "block:wSkip+LN", "block:2xSkip+BN",
+            "block:2rSkip+BN", "block:LN(x+0.5F)", "block:LN(x+3F)",
+        ]
+
+    def test_gradcheck_battery_checks_every_kind(self):
+        names = [name for name, _, _, _ in gradcheck_battery(instances=1, seed=0)]
+        for kind in SkipKind:
+            # the kind's label at lambda = residual scale = 1, any number standing for the 1
+            pattern = "block:" + re.escape(SkipConstruction(kind).label()).replace("1", "[0-9.]+")
+            assert any(re.fullmatch(pattern, name) for name in names), f"no battery row for {kind.value}"
 
     def test_gradcheck_battery_is_deterministic(self):
         assert gradcheck_battery(instances=2, seed=5) == gradcheck_battery(instances=2, seed=5)
