@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_seed
 from .normalization import BatchNormParams, LayerNormParams, combine_norm
 from .ratio import RatioWitness, ratio_general
-from .tensor import Tensor, add, matmul, relu
+from .tensor import Tensor, _records, add, matmul, no_grad, relu
 
 __all__ = [
     "SkipKind",
@@ -220,8 +220,40 @@ class AffineReluBranch:
         )
 
     def __call__(self, x):
-        h = relu(add(matmul(x, self.w1), self.b1))
-        return add(matmul(h, self.w2), self.b2)
+        """One tape node for the whole branch. The forward runs the public
+        ops without a tape, and the backward applies their rules in the
+        order the composed tape would, so values and gradients are
+        bit-identical to it. Only x, the hidden activation and the output
+        are kept; the relu mask is rebuilt from the activation, which is
+        positive exactly where the pre-activation is. With nothing to
+        record (under no_grad, or nothing requires grad) the ops' result
+        is returned as it is."""
+        w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
+        parents = (x, w1, b1, w2, b2)
+        with no_grad():
+            hidden = relu(add(matmul(x, w1), b1))
+            out = add(matmul(hidden, w2), b2)
+        if not _records(parents):
+            return out
+        h = hidden.data
+
+        def backward(g):
+            if b2.requires_grad:
+                b2.accumulate_grad(g.sum(axis=0))
+            if w2.requires_grad:
+                w2.accumulate_grad(h.T @ g)
+            if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+                return
+            gz = g @ w2.data.T
+            gz *= h > 0.0
+            if b1.requires_grad:
+                b1.accumulate_grad(gz.sum(axis=0))
+            if w1.requires_grad:
+                w1.accumulate_grad(x.data.T @ gz)
+            if x.requires_grad:
+                x.accumulate_grad(gz @ w1.data.T)
+
+        return Tensor(out.data, True, parents, "affine_relu", backward)
 
     def parameters(self):
         yield "w1", self.w1, True
@@ -495,7 +527,6 @@ def save_model(model, path):
         for p in block.norms:
             if isinstance(p, BatchNormParams):
                 arrays += [p.running_mean, p.running_var]
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -511,15 +542,16 @@ def save_model(model, path):
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        for a in arrays:  # one array at a time: no copy of the whole model
+            fh.write(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def load_model(path):
     """Rebuild a model from a checkpoint; returns (model, config).
 
     The header is validated, and checked against the file length, before
-    the payload is read or anything is allocated; parameters are then
-    filled straight from the payload.
+    the payload is read or anything is allocated; each array is then
+    read straight into its own buffer, with no copy of the whole payload.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -530,10 +562,7 @@ def load_model(path):
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise FormatError(f"{path}: expected {expected} bytes, found {size}")
-        payload = fh.read()
-    if len(payload) != expected - _HEADER.size:
-        raise FormatError(f"{path}: expected {expected} bytes, read {_HEADER.size + len(payload)}")
-    return _read_model(cfg, payload), cfg
+        return _read_model(cfg, fh, path), cfg
 
 
 def _read_header(path, head):
@@ -561,15 +590,18 @@ def _read_header(path, head):
     return cfg
 
 
-def _read_model(cfg, payload):
-    """Assemble a model of a validated geometry from checkpoint payload bytes."""
-    offsets = [0, 8 * _param_count(cfg)]  # parameters, then statistics
+def _read_model(cfg, fh, path):
+    """Assemble a model of a validated geometry from the payload of an
+    open checkpoint file."""
+    offsets = [_HEADER.size, _HEADER.size + 8 * _param_count(cfg)]  # parameters, then statistics
 
     def take(section, *shape):
-        n = math.prod(shape)
-        values = np.frombuffer(payload, dtype="<f8", count=n, offset=offsets[section])
-        offsets[section] += 8 * n
-        return values.astype(np.float64).reshape(shape)
+        values = np.empty(shape, dtype="<f8")
+        fh.seek(offsets[section])
+        if fh.readinto(values) != values.nbytes:
+            raise FormatError(f"{path}: the file ended before its payload did")
+        offsets[section] += values.nbytes
+        return values.astype(np.float64, copy=False)
 
     def param(*shape):
         return Tensor(take(0, *shape), requires_grad=True)

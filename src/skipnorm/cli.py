@@ -150,6 +150,9 @@ def _cmd_matrix(args):
 def _cmd_gradnorm(args):
     data = _make_dataset(args)
     if args.checkpoint:
+        given = [a.option_strings[0] for a in _MODEL_FLAGS if getattr(args, a.dest) != a.default]
+        if given:
+            raise ConfigError(f"--checkpoint fixes the model; it cannot be combined with {', '.join(given)}")
         model, cfg = load_model(args.checkpoint)
         if data.classes > cfg.classes:
             raise ConfigError(f"{args.checkpoint}: a {cfg.classes}-class model cannot score {data.classes}-class data")
@@ -192,15 +195,22 @@ def _cmd_gradcheck(args):
 
 
 def _add_model_flags(p):
-    p.add_argument("--construction", default="rskip-ln",
-                   help="construction token, e.g. plain, 2xskip, xskip-ln, 2rskip-ln, contracted-f-ln:3")
-    p.add_argument("--lambda", dest="lam", default=None,
-                   help="shortcut scale; matrix accepts a comma list")
-    p.add_argument("--depth", type=int, default=16, help="number of residual blocks")
-    p.add_argument("--width", type=int, default=64, help="block feature width")
-    p.add_argument("--hidden", type=int, default=64, help="branch hidden width")
-    p.add_argument("--w-skip-init", type=float, default=1.0,
-                   help="initial value of the learned skip vector (wskip-ln)")
+    """Add the flags that define a model; returns their argparse actions."""
+    return [
+        p.add_argument("--construction", default="rskip-ln",
+                       help="construction token, e.g. plain, 2xskip, xskip-ln, 2rskip-ln, contracted-f-ln:3"),
+        p.add_argument("--lambda", dest="lam", default=None,
+                       help="shortcut scale; matrix accepts a comma list"),
+        p.add_argument("--depth", type=int, default=16, help="number of residual blocks"),
+        p.add_argument("--width", type=int, default=64, help="block feature width"),
+        p.add_argument("--hidden", type=int, default=64, help="branch hidden width"),
+        p.add_argument("--w-skip-init", type=float, default=1.0,
+                       help="initial value of the learned skip vector (wskip-ln)"),
+    ]
+
+
+# the model flags with their defaults: a checkpoint leaves each at its default
+_MODEL_FLAGS = _add_model_flags(argparse.ArgumentParser(add_help=False))
 
 
 def _add_data_flags(p):

@@ -39,7 +39,6 @@ length ``d`` combined with an array whose trailing axis is ``d``.
 
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,16 +63,25 @@ _ids = itertools.count()
 _recording = True
 
 
-@contextmanager
-def no_grad():
+class no_grad:
     """Record no tape inside the block; values are unchanged. The switch
-    is process-wide, not per thread."""
-    global _recording
-    previous, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = previous
+    is process-wide, not per thread; leaving the block, by an exception
+    too, restores the state it found."""
+
+    __slots__ = ("_previous",)
+
+    def __enter__(self):
+        global _recording
+        self._previous, _recording = _recording, False
+
+    def __exit__(self, *exc):
+        global _recording
+        _recording = self._previous
+
+
+def _records(tensors):
+    """Whether an op on these tensors records a tape node."""
+    return _recording and any(t.requires_grad for t in tensors)
 
 
 class Tensor:
@@ -264,13 +272,14 @@ def matmul(a, b):
 
 
 def relu(a):
-    # gradient at exactly 0 is defined as 0, hence the strict inequality
-    mask = a.data > 0.0
+    # gradient at exactly 0 is defined as 0, hence the strict inequality;
+    # a call that records no tape needs no mask
+    mask = a.data > 0.0 if _records((a,)) else None
 
     def backward(g):
         _accumulate(a, g * mask)
 
-    # bit-equal to np.where(mask, a, 0.0) and several times faster: fmax
+    # bit-equal to np.where(a > 0.0, a, 0.0) and several times faster: fmax
     # maps NaN and negatives to +0.0 but may keep a -0.0 input (numpy's
     # scalar loop does, its SIMD loop does not), and adding +0.0 turns
     # -0.0 into +0.0 while leaving every other value as it is

@@ -1,6 +1,7 @@
 """Block constructions: equivalences, parameter ownership, checkpoints."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -427,6 +428,17 @@ class TestCheckpoints:
         save_model(build_model(cfg, seed=0), path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError, match="bytes"):
+            load_model(path)
+
+    def test_payload_cut_short_after_the_size_check_rejected(self, tmp_path, monkeypatch):
+        """A file that shrinks between the size check and the reads."""
+        path = tmp_path / "model.bin"
+        cfg = ModelConfig(SkipConstruction(SkipKind.RSKIP_BN, lam=2), 1, 2, 4, 4, 2)
+        save_model(build_model(cfg, seed=0), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(blocks, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=size)))
+        with pytest.raises(FormatError, match="ended before its payload"):
             load_model(path)
 
     def test_truncated_header_rejected(self, tmp_path):

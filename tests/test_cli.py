@@ -17,6 +17,7 @@ TINY = [
     "--epochs", "2", "--batch-size", "16", "--lr", "0.05",
 ]
 TINY_NO_TRAIN = TINY[:10]
+TINY_DATA = TINY[6:10]  # no model flag: a checkpoint fixes the model
 
 
 def write_cifar_dir(tmp_path, n_train=100, n_test=50, seed=0):
@@ -109,7 +110,7 @@ class TestGradnormCommand:
         out = tmp_path / "g.csv"
         rc = cli.main(
             ["gradnorm", "--checkpoint", str(ckpt)]
-            + TINY_NO_TRAIN + ["--samples", "32", "--seed", "0", "--out", str(out)]
+            + TINY_DATA + ["--samples", "32", "--seed", "0", "--out", str(out)]
         )
         assert rc == 0
         rows = read_csv_rows(out.read_text())
@@ -267,7 +268,7 @@ class TestBadSizes:
         model.in_w.data[0, 0] = np.nan
         ckpt = tmp_path / "nan.bin"
         save_model(model, ckpt)
-        assert_exit_2(["gradnorm", "--checkpoint", str(ckpt)] + TINY_NO_TRAIN + ["--samples", "32"], capsys)
+        assert_exit_2(["gradnorm", "--checkpoint", str(ckpt)] + TINY_DATA + ["--samples", "32"], capsys)
 
 
 class TestNegativeSeed:
@@ -315,8 +316,8 @@ class TestPathErrors:
         [
             ["train", "--construction", "plain"] + TINY + ["--out", "{dir}"],
             ["train", "--construction", "plain"] + TINY + ["--checkpoint", "{dir}"],
-            ["gradnorm", "--checkpoint", "{dir}"] + TINY_NO_TRAIN,
-            ["gradnorm", "--checkpoint", "{dir}/missing.bin"] + TINY_NO_TRAIN,
+            ["gradnorm", "--checkpoint", "{dir}"] + TINY_DATA,
+            ["gradnorm", "--checkpoint", "{dir}/missing.bin"] + TINY_DATA,
             ["train", "--dataset", "cifar10", "--data-path", "{file}", "--subset", "20"] + TINY,
             ["gradnorm", "--dataset", "cifar10", "--data-path", "{file}", "--subset", "20"],
             ["ratio-check", "--samples", "2", "--out", "{dir}"],
@@ -392,6 +393,9 @@ def argvs(draw):
             pairs.append((flag, draw(st.sampled_from(malformed))))
         elif flag in sizes or draw(st.booleans()):
             pairs.append((flag, draw(st.sampled_from(valid))))
+    if command == "gradnorm" and "--checkpoint" in dict(pairs) and draw(st.booleans()):
+        # the checkpoint fixes the model: sweep it with no model flag
+        pairs = [(flag, value) for flag, value in pairs if flag not in {**_MODEL_SIZES, **_MODEL}]
     pairs = draw(st.permutations(pairs))
     return [command] + [token for pair in pairs for token in pair]
 
@@ -420,5 +424,45 @@ class TestArgvFuzz:
 def test_gradnorm_of_a_checkpoint_with_fewer_classes_than_the_data_exits_2(tmp_path, capsys):
     ckpt = tmp_path / "model.bin"
     save_model(build_model(ModelConfig(SkipConstruction(SkipKind.XSKIP, lam=2.0), 2, 2, 8, 8, 3), seed=0), ckpt)
-    assert_exit_2(["gradnorm", "--checkpoint", str(ckpt), "--classes", "4"] + TINY_NO_TRAIN + ["--samples", "8"],
+    assert_exit_2(["gradnorm", "--checkpoint", str(ckpt), "--classes", "4"] + TINY_DATA + ["--samples", "8"],
                   capsys)
+
+
+class TestCheckpointFixesTheModel:
+    """gradnorm --checkpoint sweeps the checkpoint's model, so a model
+    flag set to anything but its default is an error, not ignored."""
+
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(build_model(ModelConfig(SkipConstruction(SkipKind.XSKIP), 2, 2, 4, 4, 3), seed=0), path)
+        return str(path)
+
+    @pytest.mark.parametrize("flags", [
+        ["--construction", "2rskip-ln", "--lambda", "nan", "--depth", "0"],
+        ["--construction", "xskip"],
+        ["--lambda", "1"],
+        ["--lambda", ""],
+        ["--depth", "2"],
+        ["--width", "4"],
+        ["--hidden", "4"],
+        ["--w-skip-init", "nan"],
+        ["--w-skip-init", "2"],
+    ])
+    def test_a_model_flag_off_its_default_exits_2(self, ckpt, flags, capsys):
+        assert_exit_2(["gradnorm", "--checkpoint", ckpt] + flags + TINY_DATA + ["--samples", "8"], capsys)
+
+    def test_the_error_names_every_flag_given(self, ckpt, capsys):
+        code, out, err = run_cli(["gradnorm", "--checkpoint", ckpt, "--depth", "0", "--w-skip-init", "3"] + TINY_DATA)
+        assert (code, out) == (2, "")
+        assert "--depth" in err and "--w-skip-init" in err and "--width" not in err
+
+    def test_model_flags_at_their_defaults_are_accepted(self, ckpt, capsys):
+        argv = ["gradnorm", "--checkpoint", ckpt] + TINY_DATA + ["--samples", "8"]
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr().out
+        defaults = ["--construction", "rskip-ln", "--depth", "16", "--width", "64", "--hidden", "64",
+                    "--w-skip-init", "1"]
+        assert cli.main(argv + defaults) == 0
+        assert capsys.readouterr().out == plain
+        assert {r["construction"] for r in read_csv_rows(plain)} == {"1xSkip"}

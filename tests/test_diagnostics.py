@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipnorm import (
+    AffineReluBranch,
     BatchNormParams,
     ConfigError,
     ContractError,
@@ -21,6 +22,7 @@ from skipnorm import (
     SkipConstruction,
     SkipKind,
     Tensor,
+    add,
     amplification_probe,
     build_model,
     decomposition_check,
@@ -28,7 +30,9 @@ from skipnorm import (
     effective_scale_sweep,
     gradcheck_battery,
     gradient_norm_sweep,
+    matmul,
     no_grad,
+    relu,
     softmax_cross_entropy,
 )
 
@@ -140,6 +144,13 @@ def two_tape_gradient_sweep(model, batches):
     return tuple(float(t / samples) for t in totals), samples
 
 
+class ComposedBranch(AffineReluBranch):
+    """The affine-relu branch as five tape nodes of the public ops."""
+
+    def __call__(self, x):
+        return add(matmul(relu(add(matmul(x, self.w1), self.b1)), self.w2), self.b2)
+
+
 ONE_OF_EACH_KIND = {
     c.kind: c
     for c in map(SkipConstruction.parse, ("plain", "1.5xskip", "0.7xskip-ln", "3rskip-ln", "wskip-ln",
@@ -196,7 +207,8 @@ class TestGradientNormSweepTape:
         model = toy_model(SkipKind.RSKIP_LN, lam=2, depth=8, seed=1)
         rng = np.random.default_rng(1)
         batches = [(rng.normal(size=(128, 2)), rng.integers(0, 3, size=128)) for _ in range(4)]
-        gradient_norm_sweep(model, batches)  # parameter grads now exist, as before each measurement
+        fused = [block.branch for block in model.blocks]
+        composed = [ComposedBranch(b.w1, b.b1, b.w2, b.b2) for b in fused]
 
         def traced_peak(sweep, batches):
             tracemalloc.reset_peak()
@@ -204,16 +216,30 @@ class TestGradientNormSweepTape:
             sweep(model, batches)
             return tracemalloc.get_traced_memory()[1] - before
 
+        def peaks(branches):
+            for block, branch in zip(model.blocks, branches):
+                block.branch = branch
+            one, four = traced_peak(gradient_norm_sweep, batches[:1]), traced_peak(gradient_norm_sweep, batches)
+            return one, four, traced_peak(two_tape_gradient_sweep, batches[:1])
+
+        for block, branch in zip(model.blocks, composed):
+            block.branch = branch
+        gradient_norm_sweep(model, batches)  # parameter grads now exist, as before each measurement
         tracemalloc.start()
         try:
-            one, four = traced_peak(gradient_norm_sweep, batches[:1]), traced_peak(gradient_norm_sweep, batches)
-            keep_all = traced_peak(two_tape_gradient_sweep, batches[:1])
+            one, four, keep_all = peaks(composed)
+            fused_one, fused_four, fused_keep_all = peaks(fused)
         finally:
             tracemalloc.stop()
+        # on the branch as five tape nodes, the graph these bounds were set on:
         # keeping the previous batch's whole tape alive made this about 2
         assert four <= 1.25 * one, (one, four)
         # dropping the interior gradients saves about 30% of one batch's peak
         assert one <= 0.85 * keep_all, (one, keep_all)
+        # the branch as one node: the same two properties, and a smaller peak
+        assert fused_four <= 1.25 * fused_one, (fused_one, fused_four)
+        assert fused_one < fused_keep_all, (fused_one, fused_keep_all)
+        assert fused_one <= 0.8 * one, (fused_one, one)
 
 
 def parameter_flags(model):

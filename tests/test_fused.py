@@ -1,6 +1,6 @@
-"""The fused skip-combination node, no-grad evaluation and in-place
-gradient/SGD updates: every value and gradient must equal, bit for bit,
-the same expression composed from the public ops."""
+"""The fused branch and skip-combination nodes, no-grad evaluation and
+in-place gradient/SGD updates: every value and gradient must equal, bit
+for bit, the same expression composed from the public ops."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skipnorm import (
+    AffineReluBranch,
     BatchNormParams,
     ContractError,
     DimensionError,
@@ -23,7 +24,9 @@ from skipnorm import (
     combine_norm,
     ewmul,
     layer_norm,
+    matmul,
     no_grad,
+    relu,
     scale,
     sgd_step,
     softmax_cross_entropy,
@@ -31,10 +34,15 @@ from skipnorm import (
 )
 
 
+def reference_branch(branch, x):
+    """The affine-relu branch composed from the public ops: five tape nodes."""
+    return add(matmul(relu(add(matmul(x, branch.w1), branch.b1)), branch.w2), branch.b2)
+
+
 def reference_forward(block, x):
     """A block composed from the public ops, one tape node per op."""
     con, k = block.construction, block.construction.kind
-    f = block.branch(x)
+    f = reference_branch(block.branch, x)
     if k is SkipKind.PLAIN:
         return add(x, f)
     if k is SkipKind.XSKIP:
@@ -132,12 +140,76 @@ class TestFusedBlock:
         x = Tensor(rng.normal(size=(3, 5)))
         fused = []
         block.forward(x, stats_out=fused)
-        f = block.branch(x)
+        f = reference_branch(block.branch, x)
         composed = []
         y = layer_norm(add(x, f), block.norms[0], composed)
         for p in block.norms[1:]:
             y = layer_norm(add(x, y), p, composed)
         assert [(bits(m), bits(s)) for m, s in fused] == [(bits(m), bits(s)) for m, s in composed]
+
+
+def with_specials(rng, shape, share):
+    """Normal entries, a share of them replaced by 0.0, -0.0, inf, -inf
+    or NaN."""
+    a = rng.normal(size=shape)
+    pick = rng.random(shape) < share
+    a[pick] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(pick.sum()))
+    return a
+
+
+class TestFusedBranch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batch=st.integers(1, 9),
+        width=st.integers(1, 70),
+        hidden=st.integers(1, 70),
+        frozen=st.lists(st.booleans(), min_size=5, max_size=5),
+        share=st.sampled_from([0.0, 0.02, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_output_and_every_gradient_match_the_composed_ops(self, batch, width, hidden, frozen, share, seed):
+        rng = np.random.default_rng(seed)
+        w1 = with_specials(rng, (width, hidden), share)
+        b1 = with_specials(rng, hidden, share)
+        # pre-activations of exactly +-0.0: dead columns, and zero rows of x
+        # meeting zero biases
+        dead = rng.random(hidden) < 0.3
+        w1[:, dead] = 0.0
+        b1[dead] = rng.choice([0.0, -0.0], size=int(dead.sum()))
+        x = with_specials(rng, (batch, width), share)
+        x[rng.random(batch) < 0.3] = rng.choice([0.0, -0.0])
+        b1[rng.random(hidden) < 0.3] = 0.0
+        values = [x, w1, b1, with_specials(rng, (hidden, width), share), with_specials(rng, width, share)]
+        leaves = [Tensor(v, requires_grad=not f) for v, f in zip(values, frozen)]
+        branch = AffineReluBranch(*leaves[1:])
+        upstream = [with_specials(rng, (batch, width), share) for _ in range(2)]
+
+        results = []
+        for forward in (branch, lambda v: reference_branch(branch, v)):
+            for t in leaves:
+                t.zero_grad()
+            outs = []
+            for g in upstream:  # the second pass adds into the first's gradients
+                with np.errstate(all="ignore"):
+                    out = forward(leaves[0])
+                    if out.requires_grad:
+                        out.backward(g)
+                outs.append(bits(out.data))
+            results.append(outs + [None if t.grad is None else bits(t.grad) for t in leaves])
+        assert results[0] == results[1]
+        assert [t.grad is None for t in leaves] == frozen
+
+    def test_one_node_with_five_parents_and_none_without_a_tape(self):
+        rng = np.random.default_rng(0)
+        branch = AffineReluBranch.init(3, 4, rng)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        out = branch(x)
+        assert out._op == "affine_relu"
+        assert out._parents == (x, branch.w1, branch.b1, branch.w2, branch.b2)
+        assert all(p._parents == () for p in out._parents)
+        with no_grad():
+            out = branch(x)
+        assert out._parents == () and out._backward is None and not out.requires_grad
 
 
 def reference_norm(x, gain, bias, g, eps, axis):
