@@ -9,7 +9,9 @@ of matching width works.
 
 import math
 import os
+import stat
 import struct
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -540,18 +542,28 @@ def save_model(model, path):
         cfg.classes,
         model.param_count(),
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for a in arrays:  # one array at a time: no copy of the whole model
-            fh.write(np.ascontiguousarray(a, dtype="<f8"))
+    payload = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(f"{path}: not a regular file")
+        # overwrite in place, header last: a save cut short reads back as
+        # a bad magic, never as a mix of two models
+        os.pwrite(fd, bytes(4), 0)
+        if not _vectored(os.pwritev, fd, payload, _HEADER.size):
+            raise OSError(f"{path}: a write made no progress")
+        os.ftruncate(fd, _HEADER.size + sum(a.nbytes for a in payload))
+        os.pwrite(fd, header, 0)
+    finally:
+        os.close(fd)
 
 
 def load_model(path):
     """Rebuild a model from a checkpoint; returns (model, config).
 
     The header is validated, and checked against the file length, before
-    the payload is read or anything is allocated; each array is then
-    read straight into its own buffer, with no copy of the whole payload.
+    the payload is read or anything is allocated; the payload is then
+    read straight into the arrays, with no copy of the whole of it.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -592,16 +604,14 @@ def _read_header(path, head):
 
 def _read_model(cfg, fh, path):
     """Assemble a model of a validated geometry from the payload of an
-    open checkpoint file."""
-    offsets = [_HEADER.size, _HEADER.size + 8 * _param_count(cfg)]  # parameters, then statistics
+    open checkpoint file: every array is allocated as the model is
+    assembled, then all of them are filled with one vectored read."""
+    sections = [[], []]  # parameters, then batch-norm statistics
 
     def take(section, *shape):
-        values = np.empty(shape, dtype="<f8")
-        fh.seek(offsets[section])
-        if fh.readinto(values) != values.nbytes:
-            raise FormatError(f"{path}: the file ended before its payload did")
-        offsets[section] += values.nbytes
-        return values.astype(np.float64, copy=False)
+        values = np.empty(shape)
+        sections[section].append(values)
+        return values
 
     def param(*shape):
         return Tensor(take(0, *shape), requires_grad=True)
@@ -618,4 +628,30 @@ def _read_model(cfg, fh, path):
         w_skip = param(w) if c._lowered.a == "w" else None
         blocks.append(ResidualBlock(c, branch, norms, w_skip, width=w))
     out_w, out_b = param(w, cfg.classes), param(cfg.classes)
+    arrays = sections[0] + sections[1]
+    if not _vectored(os.preadv, fh.fileno(), arrays, _HEADER.size):
+        raise FormatError(f"{path}: the file ended before its payload did")
+    if sys.byteorder == "big":  # the payload is little-endian
+        for a in arrays:
+            a.byteswap(inplace=True)
     return ResidualModel(in_w, in_b, blocks, out_w, out_b, config=cfg)
+
+
+def _vectored(io, fd, buffers, offset):
+    """Move ``buffers`` to or from ``fd`` from ``offset`` on with
+    ``os.pwritev`` or ``os.preadv``, at most IOV_MAX buffers a call,
+    resuming after a partial transfer. False if a call moved nothing."""
+    buffers, first, most = list(buffers), 0, os.sysconf("SC_IOV_MAX")
+    while first < len(buffers):
+        chunk = buffers[first:first + most]
+        moved = io(fd, chunk, offset)
+        if not moved:
+            return False
+        offset += moved
+        for b in chunk:
+            if moved < b.nbytes:  # stopped inside this buffer: resume there
+                buffers[first] = memoryview(b).cast("B")[moved:]
+                break
+            moved -= b.nbytes
+            first += 1
+    return True

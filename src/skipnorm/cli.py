@@ -14,6 +14,7 @@ each artifact.
 """
 
 import argparse
+import errno
 import os
 import sys
 
@@ -89,6 +90,37 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _check_writable(path, regular=False):
+    """Raise now the OSError that writing ``path`` after a run would raise:
+    a missing directory, a directory, no write access, or, for a
+    checkpoint (``regular``), an existing target that is not a file."""
+    parent = os.path.dirname(path) or "."
+    try:
+        os.stat(parent)
+    except OSError as exc:  # the kernel's own errno: ENOENT, ENOTDIR, ...
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not (os.access(path, os.W_OK) if os.path.exists(path) else os.access(parent, os.W_OK | os.X_OK)):
+        code = errno.EACCES
+    elif regular and os.path.exists(path) and not os.path.isfile(path):
+        raise OSError(f"{path}: not a regular file")
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
+def _check_outputs(args):
+    """Check every file a training command will write before it trains."""
+    if args.out:
+        _check_writable(args.out)
+        _check_writable(args.out + ".manifest.json")
+    if getattr(args, "checkpoint", None):
+        _check_writable(args.checkpoint, regular=True)
+
+
 def _options_dict(args):
     return {k: v for k, v in vars(args).items() if k != "func"}
 
@@ -109,6 +141,7 @@ def _emit(args, text, extra_config=None, artifacts=None, wall_clock=None):
 
 def _cmd_train(args):
     construction = SkipConstruction.parse(args.construction, args.lam)
+    _check_outputs(args)
     data = _make_dataset(args)
     cfg = _train_config(args, construction, args.seed)
     result, model = train(cfg, data)
@@ -133,6 +166,7 @@ def _cmd_matrix(args):
     tokens = args.construction.split(",")
     lams = _parse_lams(args.lam) if args.lam is not None else None
     cells = _expand_cells(tokens, lams)
+    _check_outputs(args)
     data = _make_dataset(args)
     base = _train_config(args, cells[0])
     seeds = list(range(args.seed, args.seed + args.runs))

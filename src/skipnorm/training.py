@@ -372,9 +372,11 @@ def write_manifest(path, config_dict, artifact_paths, wall_clock=None):
     thread variables, CPU count)."""
     artifacts = {}
     for name, p in artifact_paths.items():
-        with open(p, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        artifacts[name] = {"path": str(p), "sha256": digest}
+        digest, chunk = hashlib.sha256(), bytearray(1 << 18)
+        with open(p, "rb") as fh:  # in chunks: a checkpoint is never held whole
+            while n := fh.readinto(chunk):
+                digest.update(memoryview(chunk)[:n])
+        artifacts[name] = {"path": str(p), "sha256": digest.hexdigest()}
     manifest = {"config": config_dict, "artifacts": artifacts, "environment": _environment()}
     if wall_clock is not None:
         manifest["wall_clock_seconds"] = wall_clock

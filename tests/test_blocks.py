@@ -1,5 +1,6 @@
 """Block constructions: equivalences, parameter ownership, checkpoints."""
 
+import os
 import tracemalloc
 from types import SimpleNamespace
 
@@ -437,7 +438,11 @@ class TestCheckpoints:
         save_model(build_model(cfg, seed=0), path)
         size = path.stat().st_size
         path.write_bytes(path.read_bytes()[:-8])
-        monkeypatch.setattr(blocks, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=size)))
+        monkeypatch.setattr(
+            blocks,
+            "os",
+            SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=size), preadv=os.preadv, sysconf=os.sysconf),
+        )
         with pytest.raises(FormatError, match="ended before its payload"):
             load_model(path)
 
@@ -565,6 +570,133 @@ class TestCheckpointFormat:
             path.write_bytes(with_header(raw, **changes))
             with pytest.raises(FormatError):
                 load_model(path)
+
+
+def moved_model(token, depth, width, hidden, seed=0):
+    """A model with every parameter, and every batch-norm running
+    statistic, moved off its initial value."""
+    construction = SkipConstruction.parse(token)
+    model = build_model(ModelConfig(construction, depth, 2, width, hidden, 3), seed)
+    rng = np.random.default_rng(seed)
+    for _, p, _ in model.parameters():
+        p.data = rng.normal(size=p.data.shape)
+    if construction.uses_bn:
+        model.set_norm_mode("training")
+        model.forward(rng.normal(size=(3, 2)))
+    return model
+
+
+def checkpoint_arrays(model):
+    stats = [s for b in model.blocks for n in b.norms if isinstance(n, BatchNormParams)
+             for s in (n.running_mean, n.running_var)]
+    return [p.data for _, p, _ in model.parameters()] + stats
+
+
+def reference_bytes(model):
+    """The checkpoint format spelt out: the header, then every array as
+    little-endian doubles."""
+    cfg, c = model.config, model.config.construction
+    header = blocks._HEADER.pack(b"SKNM", 2, list(SkipKind).index(c.kind), c.lam, c.residual_scale, cfg.depth,
+                                 cfg.d_in, cfg.width, cfg.hidden, cfg.classes, model.param_count())
+    return header + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in checkpoint_arrays(model))
+
+
+def short_transfers(io, limit, calls):
+    """A stand-in for os.pwritev or os.preadv that moves at most ``limit``
+    bytes a call, so transfers stop in the middle of an array."""
+    def transfer(fd, buffers, offset):
+        kept, room = [], limit
+        for b in buffers:
+            if not room:
+                break
+            kept.append(memoryview(b).cast("B")[:room])
+            room -= len(kept[-1])
+        calls.append(offset)
+        return io(fd, kept, offset)
+
+    return transfer
+
+
+class TestVectoredCheckpointIO:
+    def test_more_arrays_than_iov_max_round_trip_byte_identically(self, tmp_path):
+        model = moved_model("2rskip-bn", depth=300, width=1, hidden=1)
+        assert len(checkpoint_arrays(model)) > os.sysconf("SC_IOV_MAX")
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert path.read_bytes() == reference_bytes(model)
+        loaded, _ = load_model(path)
+        assert reference_bytes(loaded) == reference_bytes(model)
+
+    @pytest.mark.parametrize("limit, iov_max", [(1, 1024), (13, 3), (8 * 29 + 5, 2), (1000, 1)])
+    def test_partial_transfers_resume_mid_array(self, tmp_path, monkeypatch, limit, iov_max):
+        model = moved_model("2rskip-bn", depth=3, width=5, hidden=4)
+        expected = reference_bytes(model)
+        writes, reads = [], []
+        monkeypatch.setattr(os, "sysconf", lambda name: iov_max)
+        monkeypatch.setattr(os, "pwritev", short_transfers(os.pwritev, limit, writes))
+        monkeypatch.setattr(os, "preadv", short_transfers(os.preadv, limit, reads))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert path.read_bytes() == expected
+        loaded, _ = load_model(path)
+        assert reference_bytes(loaded) == expected
+        payload = len(expected) - blocks._HEADER.size
+        assert len(writes) >= payload / limit and len(reads) >= payload / limit
+
+    def test_a_transfer_that_makes_no_progress_raises(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        save_model(moved_model("2xskip-ln", 2, 4, 3), path)
+        monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: 0)
+        with pytest.raises(FormatError, match="ended before its payload"):
+            load_model(path)
+        monkeypatch.setattr(os, "pwritev", lambda fd, buffers, offset: 0)
+        with pytest.raises(OSError, match="no progress"):
+            save_model(moved_model("2xskip-ln", 2, 4, 3), path)
+
+    @pytest.mark.parametrize("old", [b"", b"\xab" * 7, b"\xab" * 100_000, "longer checkpoint", "shorter checkpoint"])
+    def test_saving_over_a_file_leaves_exactly_the_new_bytes(self, tmp_path, old):
+        model = moved_model("wskip-ln", 2, 4, 3)
+        path = tmp_path / "model.bin"
+        if old == "longer checkpoint":
+            save_model(moved_model("2rskip-bn", 4, 6, 5, seed=1), path)
+        elif old == "shorter checkpoint":
+            save_model(moved_model("plain", 1, 1, 1, seed=1), path)
+        else:
+            path.write_bytes(old)
+        save_model(model, path)
+        assert path.read_bytes() == reference_bytes(model)
+
+    @pytest.mark.parametrize("step", ["pwritev", "ftruncate", "pwrite"])
+    def test_a_save_cut_short_reads_back_as_a_bad_magic(self, tmp_path, monkeypatch, step):
+        """Killed after the magic is zeroed: during the payload, before the
+        length is set, or before the header is written."""
+        path = tmp_path / "model.bin"
+        save_model(moved_model("2rskip-ln", 2, 4, 3, seed=1), path)
+        real, calls = getattr(os, step), []
+
+        def killed(*args):
+            calls.append(args)
+            if step != "pwrite" or len(calls) > 1:  # the first pwrite zeroes the magic
+                raise OSError("killed")
+            return real(*args)
+
+        monkeypatch.setattr(os, step, killed)
+        with pytest.raises(OSError, match="killed"):
+            save_model(moved_model("2rskip-ln", 2, 4, 3, seed=2), path)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match="magic"):
+            load_model(path)
+
+    def test_a_target_that_is_not_a_regular_file_is_refused_before_any_write(self, tmp_path, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("wrote to a refused target")
+
+        monkeypatch.setattr(os, "pwrite", forbidden)
+        monkeypatch.setattr(os, "pwritev", forbidden)
+        with pytest.raises(OSError, match="not a regular file"):
+            save_model(moved_model("plain", 1, 2, 2), os.devnull)
+        with pytest.raises(IsADirectoryError):
+            save_model(moved_model("plain", 1, 2, 2), tmp_path)
 
 
 class TestBranchWidths:

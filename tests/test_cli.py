@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -331,6 +332,55 @@ class TestPathErrors:
         file = tmp_path / "file.bin"
         file.write_bytes(b"not a directory")
         assert_exit_2([a.format(dir=tmp_path, file=file) for a in argv], capsys)
+
+
+class TestOutputsCheckedBeforeTraining:
+    """An --out or --checkpoint target of train or matrix that cannot be
+    written exits 2 before any training, with the error line that writing
+    it would give."""
+
+    COMMANDS = {
+        "train --out": ["train", "--construction", "plain"] + TINY + ["--out"],
+        "train --checkpoint": ["train", "--construction", "plain"] + TINY + ["--checkpoint"],
+        "matrix --out": ["matrix", "--construction", "plain", "--runs", "1"] + TINY + ["--out"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "train", forbidden)
+        monkeypatch.setattr(cli, "run_matrix", forbidden)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "target",
+        ["{tmp}/no/such/dir/m.bin", "{tmp}", "{file}/m.bin", "{file}/sub/m.bin"],
+        ids=["missing-dir", "dir", "file-as-dir", "under-file-as-dir"],
+    )
+    def test_unwritable_target_exits_2_untrained(self, tmp_path, capsys, command, target):
+        file = tmp_path / "file.bin"
+        file.write_bytes(b"not a directory")
+        target = target.format(tmp=tmp_path, file=file)
+        with pytest.raises(OSError) as info:
+            open(target, "w")
+        assert cli.main(self.COMMANDS[command] + [target]) == 2
+        assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_target_without_write_access_exits_2_untrained(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        assert cli.main(self.COMMANDS[command] + [str(tmp_path / "m.bin")]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 13] Permission denied: '{tmp_path / 'm.bin'}'\n")
+
+    def test_a_checkpoint_that_is_not_a_regular_file_exits_2_untrained(self, capsys):
+        assert_exit_2(self.COMMANDS["train --checkpoint"] + [os.devnull], capsys)
+
+    def test_a_manifest_target_that_is_a_directory_exits_2_untrained(self, tmp_path, capsys):
+        (tmp_path / "curves.csv.manifest.json").mkdir()
+        assert_exit_2(self.COMMANDS["train --out"] + [str(tmp_path / "curves.csv")], capsys)
+        assert not (tmp_path / "curves.csv").exists()
 
 
 def run_cli(argv):

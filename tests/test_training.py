@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,3 +381,25 @@ class TestManifestDigests:
         assert set(artifacts) == set(contents)
         for name, blob in contents.items():
             assert artifacts[name] == {"path": str(paths[name]), "sha256": hashlib.sha256(blob).hexdigest()}
+
+    @pytest.mark.parametrize("size", [(1 << 18) - 1, 1 << 18, (1 << 18) + 1, 3 * (1 << 20) + 7])
+    def test_digests_across_chunk_boundaries(self, tmp_path, size):
+        blob = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        (tmp_path / "model.bin").write_bytes(blob)
+        write_manifest(tmp_path / "run.manifest.json", {"command": "test"}, {"checkpoint": tmp_path / "model.bin"})
+        artifacts = json.loads((tmp_path / "run.manifest.json").read_text())["artifacts"]
+        assert artifacts["checkpoint"]["sha256"] == hashlib.sha256(blob).hexdigest()
+
+    def test_hashing_never_holds_an_artifact_whole(self, tmp_path):
+        size = 8 << 20
+        (tmp_path / "model.bin").write_bytes(bytes(size))
+        paths = {"checkpoint": tmp_path / "model.bin"}
+        write_manifest(tmp_path / "run.manifest.json", {"command": "test"}, paths)  # warm the environment block
+        tracemalloc.start()
+        try:
+            write_manifest(tmp_path / "run.manifest.json", {"command": "test"}, paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 16
+
