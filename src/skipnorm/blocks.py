@@ -299,7 +299,6 @@ class ResidualBlock:
         # the unnormalized unit sum x + F stays the tape's plain add
         self._a = {"1": 1.0, "lam": construction.lam, "w": w_skip}[row.a]
         self._c = construction.residual_scale
-        self._levels = self.norms or [None]
         self._sum = not row.norm and row.a == row.c == "1"
 
     def forward(self, x, stats_out=None, branch_out=None):
@@ -316,10 +315,7 @@ class ResidualBlock:
             branch_out.append(f)
         if self._sum:
             return add(x, f)
-        y = f
-        for norm in self._levels:
-            y = combine_norm(x, y, self._a, self._c, norm, stats_out)
-        return y
+        return combine_norm(x, f, self._a, self._c, self.norms, stats_out)
 
     __call__ = forward
 
@@ -344,11 +340,13 @@ class ResidualBlock:
             raise ContractError("witness capture requires a layer-normalized construction")
         stats, branch_vals = [], []
         y = self.forward(x, stats_out=stats, branch_out=branch_vals)
+        # zip and lists, not tuple(generator): see combine_norm's parents
+        mus, sigmas = zip(*stats)
         wit = RatioWitness(
-            sigmas=tuple(s for _, s in stats),
-            mus=tuple(m for m, _ in stats),
-            gains=tuple(p.gain.data.copy() for p in self.norms),
-            biases=tuple(p.bias.data.copy() for p in self.norms),
+            sigmas=sigmas,
+            mus=mus,
+            gains=tuple([p.gain.data.copy() for p in self.norms]),
+            biases=tuple([p.bias.data.copy() for p in self.norms]),
         )
         return y, branch_vals[0], wit
 
@@ -525,6 +523,7 @@ def save_model(model, path):
     if cfg is None:
         raise ContractError("only models carrying a ModelConfig can be checkpointed")
     arrays = [p.data for _, p, _ in model.parameters()]
+    count = sum(a.size for a in arrays)
     for block in model.blocks:
         for p in block.norms:
             if isinstance(p, BatchNormParams):
@@ -540,7 +539,7 @@ def save_model(model, path):
         cfg.width,
         cfg.hidden,
         cfg.classes,
-        model.param_count(),
+        count,
     )
     payload = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)

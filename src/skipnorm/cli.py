@@ -112,12 +112,13 @@ def _check_writable(path, regular=False):
     raise OSError(code, os.strerror(code), path)
 
 
-def _check_outputs(args):
-    """Check every file a training command will write before it trains."""
+def _check_outputs(args, checkpoint=False):
+    """Check every file a command will write before it does any work:
+    ``--out`` with its manifest and, if ``checkpoint``, ``--checkpoint``."""
     if args.out:
         _check_writable(args.out)
         _check_writable(args.out + ".manifest.json")
-    if getattr(args, "checkpoint", None):
+    if checkpoint and args.checkpoint:
         _check_writable(args.checkpoint, regular=True)
 
 
@@ -141,7 +142,7 @@ def _emit(args, text, extra_config=None, artifacts=None, wall_clock=None):
 
 def _cmd_train(args):
     construction = SkipConstruction.parse(args.construction, args.lam)
-    _check_outputs(args)
+    _check_outputs(args, checkpoint=True)
     data = _make_dataset(args)
     cfg = _train_config(args, construction, args.seed)
     result, model = train(cfg, data)
@@ -182,6 +183,7 @@ def _cmd_matrix(args):
 
 
 def _cmd_gradnorm(args):
+    _check_outputs(args)  # --checkpoint is read, not written
     data = _make_dataset(args)
     if args.checkpoint:
         given = [a.option_strings[0] for a in _MODEL_FLAGS if getattr(args, a.dest) != a.default]
@@ -210,6 +212,7 @@ def _cmd_gradnorm(args):
 
 def _cmd_ratio_check(args):
     lams = _parse_lams("1,2,3,4" if args.lam is None else args.lam)
+    _check_outputs(args)
     rows = decomposition_check(lams, width=args.width, instances=args.samples, seed=args.seed)
     text = csv_text(("lambda", "max_reconstruction_error", "max_ratio_discrepancy"), rows)
     if args.out:
@@ -219,6 +222,7 @@ def _cmd_ratio_check(args):
 
 
 def _cmd_gradcheck(args):
+    _check_outputs(args)
     rows = gradcheck_battery(instances=args.samples, seed=args.seed, tol=args.tol)
     table = [(target, err, tol, "pass" if passed else "FAIL") for target, err, tol, passed in rows]
     text = csv_text(("target", "max_rel_err", "tol", "status"), table)

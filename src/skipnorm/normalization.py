@@ -5,10 +5,14 @@ forward denominator sqrt(var + eps). The unrolled-coefficient analysis
 in :mod:`skipnorm.ratio` relies on capturing that same denominator, so
 the reconstruction identity is exact rather than eps-approximate.
 
-:func:`combine_norm` fuses a residual block's skip combination
-N(a*x + c*y) into one tape node. It runs the same forward and backward
-kernels as :func:`layer_norm` and :func:`batch_norm`, so its values and
-gradients equal the composed ops bit for bit.
+:func:`combine_norm` fuses a residual block's whole skip combination,
+the chain y_k = N_k(a*x + c*y_{k-1}) of one to L nested norms, into one
+tape node. It runs the same forward and backward kernels as
+:func:`layer_norm` and :func:`batch_norm`, so its values and gradients
+equal the composed ops bit for bit. Per level the tape keeps only the
+norm's standardized input xhat and its per-row or per-feature sigma; an
+inner level's output is overwritten by the next level's input, and its
+gradient is handed to the level below without a ``.grad`` copy.
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, _accumulate
+from .tensor import Tensor, _accumulate, _records
 
 __all__ = ["LayerNormParams", "BatchNormParams", "layer_norm", "batch_norm", "combine_norm"]
 
@@ -228,21 +232,32 @@ def batch_norm(x, p):
 
 
 def combine_norm(x, y, a=1.0, c=1.0, norm=None, stats_out=None):
-    """One tape node for N(a*x + c*y), a residual block's skip combination.
+    """One tape node for a residual block's skip combination: the chain
+    y_k = N_k(a*x + c*y_{k-1}), k = 1..L, with y_0 = ``y``.
 
     ``a`` is a float or a per-feature vector tensor (a learned shortcut
-    gain), ``c`` a float, and ``norm`` LayerNormParams, BatchNormParams
-    (in its current mode) or None for no normalization; ``stats_out``
-    records the layer-norm witness as in :func:`layer_norm`. Values and
-    gradients are bit-identical to the same expression composed from
-    ``scale``/``ewmul``, ``add`` and the norm: the same ufuncs run in the
-    same order, a factor of exactly 1.0 is skipped (multiplying by it is
-    exact), and the input gradient reaches x and y once each.
+    gain) and ``c`` a float. ``norm`` is None for no normalization (the
+    bare a*x + c*y), one LayerNormParams or BatchNormParams (in its
+    current mode), or a sequence of them applied innermost first; an
+    empty sequence is None. ``stats_out`` receives the layer-norm witness
+    of every level, innermost first, as :func:`layer_norm` records it.
+
+    Values and gradients are bit-identical to the same chain composed
+    from ``scale``/``ewmul``, ``add`` and the norms, one node per op: the
+    same ufuncs run on the same operands in the same order, a factor of
+    exactly 1.0 is skipped (multiplying by it is exact), and backward
+    adds the contributions to x, ``a`` and the norm parameters outermost
+    level first, as that tape does. Of each level the node keeps only
+    the norm's backward closure over (xhat, sigma): a level's input is
+    summed into the previous level's output buffer, and its input
+    gradient goes straight to the level below, never into a ``.grad``.
+    A call that records no tape keeps nothing.
     """
     if x.data.shape != y.data.shape:
         raise DimensionError(f"combine_norm: shapes {x.data.shape} and {y.data.shape} differ")
-    if norm is not None:
-        _require_2d(x.data, norm.dim, "combine_norm")
+    norms = [] if norm is None else [norm] if isinstance(norm, (LayerNormParams, BatchNormParams)) else list(norm)
+    for p in norms:
+        _require_2d(x.data, p.dim, "combine_norm")
     learned = isinstance(a, Tensor)
     c = float(c)
     if learned:
@@ -252,45 +267,60 @@ def combine_norm(x, y, a=1.0, c=1.0, norm=None, stats_out=None):
     else:
         a = float(a)
         ax = x.data if a == 1.0 else x.data * a
-    cy = y.data if c == 1.0 else y.data * c
-    # the sum goes into whichever term is already a private buffer
-    if ax is not x.data:
-        z = np.add(ax, cy, out=ax)
-    elif cy is not y.data:
-        z = np.add(cy, ax, out=cy)
-    else:
-        z = ax + cy
-    if norm is None:
-        out, grads = z, None
-    elif isinstance(norm, LayerNormParams):
-        out, grads = _layer_norm_forward(z, norm, True, stats_out)
-    else:
-        out, grads = _batch_norm_forward(z, norm, True)
+    # concatenated, not tuple(generator): a tuple built from an iterator is
+    # allocated at a guessed size and shrunk, which strands its memory in
+    # the interpreter's free list of the final size, one tuple per call
+    parents = (x, y) + ((a,) if learned else ())
+    for p in norms:
+        parents += (p.gain, p.bias)
+    records = _records(parents)
+    levels = max(len(norms), 1)
+    backwards = []  # each level's norm backward, innermost first, if the call records
+    z = y.data  # from level 2 on, the previous level's output: a private buffer
+    for k in range(levels):
+        if c != 1.0:
+            z = np.multiply(z, c, out=z if k else None)
+        # a*x + c*y_{k-1}, the operands in the order the composed ops take
+        # them, into z if it is private, else into a*x unless a later level
+        # reads it again
+        first, second = (z, ax) if ax is x.data and c != 1.0 else (ax, z)
+        private = k or c != 1.0
+        z = np.add(first, second, out=z if private else ax if levels == 1 and ax is not x.data else None)
+        if not norms:
+            break
+        if isinstance(norms[k], LayerNormParams):
+            z, grads = _layer_norm_forward(z, norms[k], True, stats_out)
+        else:
+            z, grads = _batch_norm_forward(z, norms[k], True)
+        if records:
+            backwards.append(grads)
 
     def backward(g):
-        if grads is not None:
-            dw, db, g = grads(g, x.requires_grad or y.requires_grad or learned and a.requires_grad)
-            _accumulate(norm.gain, dw)
-            _accumulate(norm.bias, db)
-            if g is None:
+        shortcut = x.requires_grad or learned and a.requires_grad
+        below = [y.requires_grad]  # below[k]: whether level k's input y_{k-1} needs a gradient
+        for p in norms[:-1]:
+            below.append(below[-1] or shortcut or p.gain.requires_grad or p.bias.requires_grad)
+        for k in reversed(range(levels)):
+            if norms:
+                dw, db, g = backwards[k](g, shortcut or below[k])
+                _accumulate(norms[k].gain, dw)
+                _accumulate(norms[k].bias, db)
+                if g is None:
+                    return
+            if learned:
+                if x.requires_grad:
+                    x.accumulate_grad(g * a.data)
+                if a.requires_grad:
+                    a.accumulate_grad((g * x.data).sum(axis=tuple(range(g.ndim - 1))))
+            elif x.requires_grad:
+                x.accumulate_grad(g if a == 1.0 else a * g)
+            if not below[k]:
                 return
-        if learned:
-            if x.requires_grad:
-                x.accumulate_grad(g * a.data)
-            if a.requires_grad:
-                a.accumulate_grad((g * x.data).sum(axis=tuple(range(g.ndim - 1))))
-        elif x.requires_grad:
-            x.accumulate_grad(g if a == 1.0 else a * g)
-        if not y.requires_grad:
-            return
-        if c == 1.0:
-            y.accumulate_grad(g)
-        elif grads is not None:
-            g *= c  # the norm's input gradient is private to this call
-            y.accumulate_grad(g)
-        else:
-            y.accumulate_grad(c * g)
+            if c != 1.0:
+                if norms:
+                    g *= c  # the norm's input gradient is private to this call
+                else:
+                    g = c * g
+        y.accumulate_grad(g)
 
-    parents = (x, y) + ((a,) if learned else ()) + ((norm.gain, norm.bias) if norm is not None else ())
-    requires = any(t.requires_grad for t in parents)
-    return Tensor(out, requires, parents, "combine_norm", backward)
+    return Tensor(z, records, parents, "combine_norm", backward)

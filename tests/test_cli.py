@@ -383,6 +383,61 @@ class TestOutputsCheckedBeforeTraining:
         assert not (tmp_path / "curves.csv").exists()
 
 
+class TestOutputsCheckedBeforeDiagnostics:
+    """An --out target of gradcheck, ratio-check or gradnorm that cannot
+    be written exits 2 before the battery, check or sweep runs, with the
+    error line that writing it would give."""
+
+    COMMANDS = {
+        "gradcheck": ["gradcheck", "--samples", "1", "--out"],
+        "ratio-check": ["ratio-check", "--samples", "2", "--out"],
+        "gradnorm": ["gradnorm", "--construction", "plain"] + TINY_NO_TRAIN + ["--samples", "8", "--out"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("gradcheck_battery", "decomposition_check", "gradient_norm_sweep"):
+            monkeypatch.setattr(cli, name, forbidden)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "target",
+        ["{tmp}/no/such/dir/t.csv", "{tmp}", "{file}/t.csv", "{file}/sub/t.csv"],
+        ids=["missing-dir", "dir", "file-as-dir", "under-file-as-dir"],
+    )
+    def test_unwritable_target_exits_2_before_any_work(self, tmp_path, capsys, command, target):
+        file = tmp_path / "file.bin"
+        file.write_bytes(b"not a directory")
+        target = target.format(tmp=tmp_path, file=file)
+        with pytest.raises(OSError) as info:
+            open(target, "w")
+        assert cli.main(self.COMMANDS[command] + [target]) == 2
+        assert capsys.readouterr() == ("", f"error: {info.value}\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_target_without_write_access_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        assert cli.main(self.COMMANDS[command] + [str(tmp_path / "t.csv")]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 13] Permission denied: '{tmp_path / 't.csv'}'\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_manifest_target_that_is_a_directory_exits_2_before_any_work(self, tmp_path, capsys, command):
+        (tmp_path / "t.csv.manifest.json").mkdir()
+        assert_exit_2(self.COMMANDS[command] + [str(tmp_path / "t.csv")], capsys)
+        assert not (tmp_path / "t.csv").exists()
+
+
+def test_gradnorm_reads_a_checkpoint_it_could_not_write(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "model.bin"
+    save_model(build_model(ModelConfig(SkipConstruction(SkipKind.XSKIP), 2, 2, 4, 4, 3), seed=0), path)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert cli.main(["gradnorm", "--checkpoint", str(path)] + TINY_DATA + ["--samples", "8"]) == 0
+    assert {r["construction"] for r in read_csv_rows(capsys.readouterr().out)} == {"1xSkip"}
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr) of one in-process run; argparse's
     SystemExit counts as its exit code."""

@@ -2,6 +2,8 @@
 in-place gradient/SGD updates: every value and gradient must equal, bit
 for bit, the same expression composed from the public ops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,128 @@ class TestCombineNorm:
         out.backward(np.ones((3, 4)))
         assert bits(x.data) == bits(before[0]) and bits(y.data) == bits(before[1])
         assert not np.shares_memory(out.data, x.data) and not np.shares_memory(out.data, y.data)
+
+
+def random_norm(kind, d, rng):
+    """A norm of one kind ("ln", "bn-training" or "bn-inference") with
+    gains, biases and running statistics away from their defaults."""
+    if kind == "ln":
+        p = LayerNormParams.create(d)
+    else:
+        p = BatchNormParams.create(d)
+        p.mode = kind[3:]
+        p.running_mean, p.running_var = rng.normal(size=d), rng.uniform(0.5, 2, size=d)
+    p.gain.data = 1.0 + 0.3 * rng.normal(size=d)
+    p.bias.data = 0.3 * rng.normal(size=d)
+    return p
+
+
+def recorded_ops(out):
+    """The ops of the recorded nodes reachable from ``out``, itself included."""
+    seen, stack = {out}, [out]
+    while stack:
+        for p in stack.pop()._parents:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return sorted(t._op for t in seen if t._backward is not None)
+
+
+class TestCombineNormChain:
+    """A sequence of norms is one node for the whole chain
+    y_k = N_k(a*x + c*y_{k-1}), equal bit for bit to nested one-level
+    calls and to the chain composed from the public ops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(["ln", "bn-training", "bn-inference"]), min_size=1, max_size=4),
+        a=st.sampled_from([1.0, 0.5, 2.0, "learned"]),
+        c=st.sampled_from([1.0, 0.25, 3.0]),
+        frozen=st.lists(st.booleans(), min_size=11, max_size=11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_nested_one_level_calls(self, kinds, a, c, frozen, seed):
+        """Values, every gradient over two backward passes, and the running
+        statistics. Each pass drops the interior gradients (retain=()):
+        kept, the nested tape's inner nodes would resend their first-pass
+        gradients in the second pass, which a chain has no nodes for."""
+        rng = np.random.default_rng(seed)
+        n, d = 4, 5
+        norms = [random_norm(kind, d, rng) for kind in kinds]
+        if a == "learned":
+            a = Tensor(1.0 + 0.2 * rng.normal(size=d), requires_grad=True)
+        x = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        y = Tensor(rng.normal(size=(n, d)), requires_grad=True)
+        leaves = [x, y] + ([a] if isinstance(a, Tensor) else []) + [t for p in norms for t in (p.gain, p.bias)]
+        for t, f in zip(leaves, frozen):
+            t.requires_grad = not f
+        upstream = [rng.normal(size=(n, d)) for _ in range(2)]
+        start = [(p.running_mean, p.running_var) for p in norms if isinstance(p, BatchNormParams)]
+
+        def nested():
+            out = y
+            for p in norms:
+                out = combine_norm(x, out, a, c, p)
+            return out
+
+        def composed():
+            out = y
+            for p in norms:
+                z = add(ewmul(x, a) if isinstance(a, Tensor) else scale(x, a), scale(out, c))
+                out = layer_norm(z, p) if isinstance(p, LayerNormParams) else batch_norm(z, p)
+            return out
+
+        results = []
+        for forward in (lambda: combine_norm(x, y, a, c, norms), nested, composed):
+            for t in leaves:
+                t.zero_grad()
+            bn = [p for p in norms if isinstance(p, BatchNormParams)]
+            for p, (mean, var) in zip(bn, start):
+                p.running_mean, p.running_var = mean, var
+            out = forward()
+            if out.requires_grad:
+                for g in upstream:
+                    out.backward(g, retain=())
+            results.append(
+                [bits(out.data), out.requires_grad]
+                + [None if t.grad is None else bits(t.grad) for t in leaves]
+                + [(bits(p.running_mean), bits(p.running_var)) for p in bn]
+            )
+        assert results[0] == results[1] == results[2]
+
+    def test_a_recursive_block_records_two_nodes_and_none_without_a_tape(self):
+        rng = np.random.default_rng(0)
+        block = build_block(SkipConstruction(SkipKind.RSKIP_LN, lam=4), 6, 5, rng)
+        x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
+        out = block.forward(x)
+        assert recorded_ops(out) == ["affine_relu", "combine_norm"]
+        norm_params = tuple(t for p in block.norms for t in (p.gain, p.bias))
+        assert out._parents[2:] == norm_params
+        with no_grad():
+            out = block.forward(x)
+        assert recorded_ops(out) == [] and out._parents == ()
+
+    def test_the_tape_keeps_seven_row_by_width_arrays_per_block(self):
+        """Of a recorded 4rSkip+LN block at 256x64 the tape keeps the branch's
+        hidden activation and output, each level's standardized input and
+        the block output; every other array is freed during the forward.
+        The slack covers each level's per-row sigma and the node objects."""
+        rows, width, depth = 256, 64, 3
+        model = build_model(
+            ModelConfig(SkipConstruction(SkipKind.RSKIP_LN, lam=4), depth, width, width, width, 3), seed=0
+        )
+        x = Tensor(np.random.default_rng(0).normal(size=(rows, width)), requires_grad=True)
+        array = rows * width * 8
+        tracemalloc.start()
+        try:
+            h = x
+            for block in model.blocks:
+                h = block.forward(h)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert h.requires_grad
+        assert kept <= depth * (7 * array + array // 4)
 
 
 def tiny_model(token, seed=0):
