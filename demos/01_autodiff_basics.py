@@ -34,8 +34,8 @@ loss.backward()
 print(f"w1 gradient norm: {np.linalg.norm(w1.grad):.4f}")
 print(f"w2 gradient norm: {np.linalg.norm(w2.grad):.4f}")
 
-# Gradients accumulate across backward passes until cleared, which is
-# what microbatch accumulation relies on.
+# Leaf gradients accumulate across backward passes until cleared, which
+# is what microbatch accumulation relies on.
 g_first = w2.grad.copy()
 second = softmax_cross_entropy(matmul(relu(add(matmul(x, w1), b1)), w2), labels)
 second.backward()

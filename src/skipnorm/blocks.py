@@ -352,7 +352,7 @@ class ResidualBlock:
 
 
 def effective_scale(block, x):
-    """Shortcut/residual coefficient ratio of one LN block on one input.
+    """Shortcut/residual coefficient ratio of one LN block on one input Tensor.
 
     With one level the ratio is mean(a)/c whatever the input: lambda for
     xSkip+LN, the mean skip gain for wSkip+LN, 1/c for LN(x+cF). With
@@ -361,8 +361,6 @@ def effective_scale(block, x):
     """
     scale = _input_free_scale(block)
     if scale is None:
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
         _, _, wit = block.witness(x)
         scale = float(ratio_general(wit).mean())
     return scale
@@ -451,11 +449,6 @@ class ResidualModel:
             for p in block.norms:
                 if isinstance(p, BatchNormParams):
                     p.mode = mode
-
-    def zero_branches(self):
-        """Force every residual branch to the zero map (probe utility)."""
-        for block in self.blocks:
-            block.branch.zero_()
 
     def param_count(self):
         return sum(p.data.size for _, p, _ in self.parameters())

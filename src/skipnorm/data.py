@@ -48,7 +48,6 @@ class DatasetSpec:
 
 @dataclass
 class Dataset:
-    name: str
     classes: int
     x_train: np.ndarray
     y_train: np.ndarray
@@ -106,7 +105,7 @@ def gen_synthetic(spec):
         perm = rng.permutation(len(x))
         splits.append((np.ascontiguousarray(x[perm]), np.ascontiguousarray(y[perm])))
     (x_tr, y_tr), (x_te, y_te) = splits
-    return Dataset(spec.source, spec.classes, x_tr, y_tr, x_te, y_te)
+    return Dataset(spec.classes, x_tr, y_tr, x_te, y_te)
 
 
 def _read_batch_file(path):
@@ -173,4 +172,4 @@ def load_cifar10(path, subset=2000, seed=0):
     std = np.maximum(chan_tr.std(axis=(0, 2)), 1e-8)
     x_tr = ((chan_tr - mean[None, :, None]) / std[None, :, None]).reshape(-1, _PIXELS)
     x_te = ((x_te.reshape(-1, 3, _PIXELS // 3) - mean[None, :, None]) / std[None, :, None]).reshape(-1, _PIXELS)
-    return Dataset("cifar10", _CIFAR_CLASSES, x_tr, y_tr[tr_idx], x_te, y_te[te_idx])
+    return Dataset(_CIFAR_CLASSES, x_tr, y_tr[tr_idx], x_te, y_te[te_idx])

@@ -344,22 +344,20 @@ def gradcheck_battery(instances=20, seed=0, tol=1e-4):
     return rows
 
 
-def decomposition_check(lams=(1, 2, 3, 4), width=8, instances=100, seed=0, batch=4):
+def decomposition_check(lams=(1, 2, 3, 4), width=8, instances=100, seed=0):
     """Verify the unrolled decomposition against live recursive forwards.
 
     Every lambda is checked as a recursion depth first; then for each,
-    runs ``instances`` random blocks of ``batch`` rows, captures their
+    runs ``instances`` random blocks of 4 rows each, captures their
     witnesses, and returns rows (integer depth, max reconstruction error,
     max closed-form ratio discrepancy). The reconstruction error is the
     worst absolute deviation of coef_x*x + coef_f*f + const from the
     actual block output; the discrepancy is the worst relative gap
     between ratio_general and coef_x/coef_f where coef_f is nonzero.
-    ``instances`` and ``batch`` must be at least one.
+    ``instances`` must be at least one.
     """
     if instances < 1:
         raise ContractError(f"decomposition_check needs at least one instance per depth, got {instances}")
-    if batch < 1:
-        raise ContractError(f"decomposition_check needs at least one row per instance, got {batch}")
     _check_seed(seed)
     constructions = [SkipConstruction(SkipKind.RSKIP_LN, lam=lam) for lam in lams]
     rng = np.random.default_rng(seed)
@@ -376,7 +374,7 @@ def decomposition_check(lams=(1, 2, 3, 4), width=8, instances=100, seed=0, batch
                 getattr(block.branch, name).data = 0.3 * rng.normal(
                     size=getattr(block.branch, name).data.shape
                 )
-            x = Tensor(rng.normal(0.0, 1.0, (batch, width)))
+            x = Tensor(rng.normal(0.0, 1.0, (4, width)))
             with no_grad():
                 y, f, witness = block.witness(x)
             coef_x, coef_f, const = unroll_decompose(witness, x.data, f.data)

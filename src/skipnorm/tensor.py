@@ -2,10 +2,10 @@
 
 The graph is a dynamic tape: every operation appends a node holding the
 backward rule as a closure over the saved forward values. Calling
-``backward()`` on an output replays the reachable part of the tape in
-strict reverse creation order, accumulating gradients additively into
-``.grad`` of every node that requires them (intermediates included,
-unless ``retain`` says otherwise; see below).
+``backward()`` on an output clears ``.grad`` on the interior nodes it
+reaches and replays them in strict reverse creation order, accumulating
+gradients into ``.grad`` of every node that requires them (interior ones
+too, unless ``retain`` says otherwise); only leaves sum across passes.
 
 Inside ``with no_grad():`` operations compute the same values but record
 nothing: their outputs do not require grad, hold no parents and no
@@ -88,12 +88,12 @@ class Tensor:
     """A node of the differentiation tape.
 
     ``data`` is always a float64 ndarray. ``grad`` is lazily created and
-    accumulates additively, so two backward passes without a reset sum
-    their contributions. Leaf tensors are created directly; interior
-    nodes are created by the operations below and carry a backward
-    closure plus references to their parents. An interior node that
-    does not require grad, or is made under :func:`no_grad`, keeps
-    neither.
+    accumulates additively: a leaf sums the contributions of backward
+    passes until reset, an interior node holds the latest pass's alone.
+    Leaf tensors are created directly; interior nodes are created by the
+    operations below and carry a backward closure plus references to
+    their parents. An interior node that does not require grad, or is
+    made under :func:`no_grad`, keeps neither.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_id")
@@ -129,9 +129,9 @@ class Tensor:
         because the tape is built dynamically: every contribution to a
         node's gradient has arrived by the time its rule runs.
 
-        ``retain`` is None (every gradient is kept) or an iterable of
-        tensors: an interior node that is not among them then drops its
-        ``.grad`` right after its rule has passed it on. Leaves keep
+        ``retain`` is None (the pass keeps every gradient) or an iterable
+        of tensors: an interior node that is not among them then drops
+        its ``.grad`` right after its rule has passed it on. Leaves keep
         theirs either way.
         """
         if not self.requires_grad:
@@ -147,30 +147,15 @@ class Tensor:
 
         keep = None if retain is None else set(retain)
         nodes = _reachable(self)
+        for node in nodes:
+            if node._backward is not None:
+                node.grad = None  # a stale interior gradient would be sent again
         self.accumulate_grad(seed)
         for node in sorted(nodes, key=lambda t: t._id, reverse=True):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 if keep is not None and node not in keep:
                     node.grad = None
-
-    # operator shorthands for the tape ops; the tests use `*`
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return ewmul(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self):
-        return tsum(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"

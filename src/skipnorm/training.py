@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 
+# the paper's optimiser, fixed: the learning rate is cut tenfold at each milestone
+_LR_DECAY = 0.1
+_MOMENTUM = 0.9
+_WEIGHT_DECAY = 2e-4
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one run; the model seed doubles as the batch-order seed."""
@@ -48,10 +54,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 64
     lr: float = 0.1
-    lr_decay: float = 0.1
-    lr_milestones: tuple = None
-    momentum: float = 0.9
-    weight_decay: float = 2e-4
     seed: int = 0
     w_skip_init: float = 1.0
 
@@ -61,33 +63,26 @@ class TrainConfig:
             raise ConfigError("epochs cannot be negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-        for name in ("lr", "lr_decay", "momentum", "weight_decay", "w_skip_init"):
+        for name in ("lr", "w_skip_init"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)}")
-        if self.lr <= 0 or not 0 < self.lr_decay <= 1:
-            raise ConfigError("learning rate must be positive and decay in (0, 1]")
-        if not 0 <= self.momentum < 1:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight decay cannot be negative")
+        if self.lr <= 0:
+            raise ConfigError("learning rate must be positive")
 
     def milestones(self):
-        """Epoch indices where the learning rate decays; default halfway and three-quarters."""
-        if self.lr_milestones is not None:
-            return tuple(self.lr_milestones)
+        """Epoch indices where the learning rate decays: halfway and three-quarters."""
         return tuple(sorted({self.epochs // 2, (3 * self.epochs) // 4} - {0}))
 
     def lr_at(self, epoch):
         passed = sum(1 for m in self.milestones() if epoch >= m)
-        return self.lr * self.lr_decay**passed
+        return self.lr * _LR_DECAY**passed
 
     def as_dict(self):
         d = asdict(self)
         c = d.pop("construction")
         c["kind"] = self.construction.kind.value
         d["construction"] = c
-        if d["lr_milestones"] is not None:
-            d["lr_milestones"] = list(d["lr_milestones"])
+        d.update(lr_decay=_LR_DECAY, momentum=_MOMENTUM, weight_decay=_WEIGHT_DECAY)
         return d
 
 
@@ -224,7 +219,7 @@ def train(cfg, data):
                     blew_up = True
                     break
                 loss.backward()
-                sgd_step(params, velocity, lr, cfg.momentum, cfg.weight_decay)
+                sgd_step(params, velocity, lr, _MOMENTUM, _WEIGHT_DECAY)
                 loss_sum += value * len(idx)
                 seen += len(idx)
         if seen == 0 and not blew_up:

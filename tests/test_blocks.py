@@ -298,7 +298,8 @@ class TestModel:
     def test_plain_stack_with_zeroed_branches_is_affine(self):
         cfg = ModelConfig(SkipConstruction(SkipKind.PLAIN), 4, 3, 6, 5, 2)
         model = build_model(cfg, seed=9)
-        model.zero_branches()
+        for block in model.blocks:
+            block.branch.zero_()
         x = np.random.default_rng(9).normal(size=(5, 3))
         expected = (x @ model.in_w.data + model.in_b.data) @ model.out_w.data + model.out_b.data
         np.testing.assert_array_equal(model.forward(x).data, expected)
@@ -772,3 +773,23 @@ class TestCheckpointProperty:
         assert cfg == model.config
         save_model(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("token", ["plain", "0.5xskip", "1xskip", "2xskip", "0.5xskip-ln", "2xskip-ln",
+                                       "1rskip-ln", "3rskip-ln", "wskip-ln", "2xskip-bn", "1rskip-bn", "3rskip-bn",
+                                       "contracted-f-ln:1", "contracted-f-ln:3"])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        depth=st.integers(1, 4),
+        d_in=st.integers(1, 5),
+        width=st.integers(1, 6),
+        hidden=st.integers(1, 5),
+        classes=st.integers(1, 4),
+    )
+    def test_closed_form_sizes_match_the_built_model(self, token, depth, d_in, width, hidden, classes):
+        # the header check trusts both closed forms before it allocates anything
+        cfg = ModelConfig(SkipConstruction.parse(token), depth, d_in, width, hidden, classes)
+        model = build_model(cfg, 0)
+        assert blocks._param_count(cfg) == model.param_count()
+        stats = [s for b in model.blocks for p in b.norms if isinstance(p, BatchNormParams)
+                 for s in (p.running_mean, p.running_var)]
+        assert blocks._stats_count(cfg) == sum(s.size for s in stats)

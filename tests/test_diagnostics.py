@@ -74,7 +74,8 @@ class TestGradientNormSweep:
         # block, so block k carries lambda^(depth-1-k) relative to the top
         for lam in (0.5, 2.0, 3.0):
             model = toy_model(SkipKind.XSKIP, lam=lam, depth=8)
-            model.zero_branches()
+            for block in model.blocks:
+                block.branch.zero_()
             report = gradient_norm_sweep(model, toy_batches())
             top = report.block_norms[-1]
             for k, norm in enumerate(report.block_norms):
@@ -83,7 +84,8 @@ class TestGradientNormSweep:
 
     def test_zero_branch_plain_stack_is_flat(self):
         model = toy_model(SkipKind.PLAIN, depth=8)
-        model.zero_branches()
+        for block in model.blocks:
+            block.branch.zero_()
         report = gradient_norm_sweep(model, toy_batches())
         assert len(set(report.block_norms)) == 1
 
@@ -645,10 +647,6 @@ class TestDecompositionCheckInputs:
         rows = decomposition_check(lams=(1.0, 3.0), instances=2)
         assert [lam for lam, _, _ in rows] == [1, 3]
         assert all(type(lam) is int for lam, _, _ in rows)
-
-    def test_empty_batch_refused(self):
-        with pytest.raises(ContractError, match="row"):
-            decomposition_check(lams=(1,), instances=2, batch=0)
 
     @pytest.mark.parametrize("width", [0, -2])
     def test_bad_width_refused(self, width):

@@ -147,6 +147,24 @@ class TestBackward:
         x.zero_grad()
         assert x.grad is None
 
+    @pytest.mark.parametrize("inner", [False, True])
+    def test_a_second_pass_from_one_root_sends_only_its_own_seed(self, inner):
+        a = leaf([0.0, 0.0])
+        out = scale(scale(a, 1.0) if inner else a, 2.0)
+        out.backward([1.0, 1.0])
+        out.backward([10.0, 10.0])
+        np.testing.assert_array_equal(a.grad, [22.0, 22.0])
+
+    @pytest.mark.parametrize("retain", [False, True])
+    def test_an_interior_node_holds_the_latest_pass_alone(self, retain):
+        a = leaf([0.0])
+        mid = scale(a, 3.0)
+        out = scale(mid, 2.0)
+        for seed in ([1.0], [10.0]):
+            out.backward(seed, retain=[mid] if retain else None)
+        np.testing.assert_array_equal(mid.grad, [20.0])
+        np.testing.assert_array_equal(a.grad, [66.0])
+
     def test_diamond_reuse_sums_both_paths(self):
         x = leaf([2.0])
         tsum(add(scale(x, 3.0), scale(x, 5.0))).backward()
