@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_seed
-from .normalization import BatchNormParams, LayerNormParams, combine_norm
+from .normalization import DEFAULT_EPS, BatchNormParams, LayerNormParams, combine_norm
 from .ratio import RatioWitness, ratio_general
 from .tensor import Tensor, _records, add, matmul, no_grad, relu
 
@@ -301,21 +301,14 @@ class ResidualBlock:
         self._c = construction.residual_scale
         self._sum = not row.norm and row.a == row.c == "1"
 
-    def forward(self, x, stats_out=None, branch_out=None):
-        """Apply the construction on the tape.
-
-        ``stats_out``, if a list, receives one (mu, sigma) pair per
-        layer-norm level, innermost first; ``branch_out`` receives the
-        branch value F(x). Both feed the decomposition witness.
-        """
+    def forward(self, x):
+        """Apply the construction on the tape."""
         if x.data.ndim != 2 or x.data.shape[1] != self.width:
             raise DimensionError(f"block expects [batch, {self.width}] input, got {x.data.shape}")
         f = self.branch(x)
-        if branch_out is not None:
-            branch_out.append(f)
         if self._sum:
             return add(x, f)
-        return combine_norm(x, f, self._a, self._c, self.norms, stats_out)
+        return combine_norm(x, f, self._a, self._c, self.norms)
 
     __call__ = forward
 
@@ -332,14 +325,16 @@ class ResidualBlock:
     def witness(self, x):
         """Forward an LN block while recording its decomposition witness.
 
-        Returns (y, f, witness) where f is the branch value. Only the
-        LN-bearing kinds produce a witness; it covers all levels
-        innermost-first.
+        Returns (y, f, witness): y bit-equal to ``forward(x)``, f the branch
+        value, and the witness of every level, innermost first. It describes
+        y_k = LN_k(x + y_{k-1}) only, so a block with a or c other than 1 raises.
         """
-        if not self.construction.uses_ln:
-            raise ContractError("witness capture requires a layer-normalized construction")
-        stats, branch_vals = [], []
-        y = self.forward(x, stats_out=stats, branch_out=branch_vals)
+        a = self._a if self.w_skip is None else self.w_skip.data
+        if not (self.construction.uses_ln and self._c == 1.0 and np.all(a == 1.0)):
+            raise ContractError(f"the witness describes LN blocks with a = c = 1, not {self.construction.label()}")
+        f = self.branch(x)  # a wrong width fails here or in combine_norm
+        stats = []
+        y = combine_norm(x, f, self._a, self._c, self.norms, stats)
         # zip and lists, not tuple(generator): see combine_norm's parents
         mus, sigmas = zip(*stats)
         wit = RatioWitness(
@@ -348,7 +343,7 @@ class ResidualBlock:
             gains=tuple([p.gain.data.copy() for p in self.norms]),
             biases=tuple([p.bias.data.copy() for p in self.norms]),
         )
-        return y, branch_vals[0], wit
+        return y, f, wit
 
 
 def effective_scale(block, x):
@@ -407,16 +402,14 @@ class ResidualModel:
         self.out_w, self.out_b = out_w, out_b
         self.config = config
 
-    def forward(self, x, block_inputs=None, block_outputs=None):
+    def forward(self, x, block_outputs=None):
         """Project, run the blocks in order, project to logits.
 
-        The optional lists receive each block's input/output tensor so
+        The optional list receives each block's output tensor so
         diagnostics can read their gradients after backward.
         """
         h = self.project_in(x)
         for block in self.blocks:
-            if block_inputs is not None:
-                block_inputs.append(h)
             h = block.forward(h)
             if block_outputs is not None:
                 block_outputs.append(h)
@@ -454,10 +447,6 @@ class ResidualModel:
         return sum(p.data.size for _, p, _ in self.parameters())
 
 
-def _make_norms(construction, width):
-    return [_NORM_PARAMS[construction._lowered.norm].create(width) for _ in range(construction.levels)]
-
-
 def build_block(construction, width, hidden, rng, w_skip_init=1.0):
     """One freshly initialized block: branch draws from rng, norm gains
     start at 1 and biases at 0, w_skip at the given constant."""
@@ -465,7 +454,8 @@ def build_block(construction, width, hidden, rng, w_skip_init=1.0):
     w_skip = None
     if construction._lowered.a == "w":
         w_skip = Tensor(np.full(width, float(w_skip_init)), requires_grad=True)
-    return ResidualBlock(construction, branch, _make_norms(construction, width), w_skip, width=width)
+    norms = [_NORM_PARAMS[construction._lowered.norm].create(width) for _ in range(construction.levels)]
+    return ResidualBlock(construction, branch, norms, w_skip, width=width)
 
 
 def build_model(cfg, seed):
@@ -519,7 +509,11 @@ def save_model(model, path):
     count = sum(a.size for a in arrays)
     for block in model.blocks:
         for p in block.norms:
-            if isinstance(p, BatchNormParams):
+            bn = isinstance(p, BatchNormParams)
+            # the file has no field for them: a load would give the defaults
+            if p.eps != DEFAULT_EPS or bn and p.momentum != BatchNormParams.momentum:
+                raise ContractError("a checkpoint stores no norm eps or momentum, so each must keep its default")
+            if bn:
                 arrays += [p.running_mean, p.running_var]
     header = _HEADER.pack(
         _MAGIC,

@@ -85,11 +85,6 @@ def _train_config(args, construction, seed=0):
                        batch_size=args.batch_size, lr=args.lr, seed=seed, w_skip_init=args.w_skip_init)
 
 
-def _write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _check_writable(path, regular=False):
     """Raise now the OSError that writing ``path`` after a run would raise:
     a missing directory, a directory, no write access, or, for a
@@ -122,17 +117,14 @@ def _check_outputs(args, checkpoint=False):
         _check_writable(args.checkpoint, regular=True)
 
 
-def _options_dict(args):
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
 def _emit(args, text, extra_config=None, artifacts=None, wall_clock=None):
     """Write CSV to --out (with manifest) or to stdout."""
     if args.out:
-        _write_text(args.out, text)
+        with open(args.out, "w") as fh:
+            fh.write(text)
         all_artifacts = {"csv": args.out}
         all_artifacts.update(artifacts or {})
-        config = {"command": args.command, "options": _options_dict(args)}
+        config = {"command": args.command, "options": {k: v for k, v in vars(args).items() if k != "func"}}
         if extra_config:
             config.update(extra_config)
         write_manifest(args.out + ".manifest.json", config, all_artifacts, wall_clock=wall_clock)

@@ -42,6 +42,8 @@ class DatasetSpec:
             raise ConfigError("moons is a two-class dataset")
         if self.n_train < 1 or self.n_test < 1:
             raise ConfigError("train and test sample counts must be positive")
+        if self.classes > min(self.n_train, self.n_test):
+            raise ConfigError(f"{self.classes} classes need at least as many train and test samples")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError(f"noise level must be finite and non-negative, got {self.noise}")
 

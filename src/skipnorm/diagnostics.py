@@ -177,16 +177,20 @@ def effective_scale_sweep(model, batches):
 
 def _witness_scales(model, x, fixed):
     """Each block's effective scale on the rows of x: ``fixed`` when no
-    block needs a witness, else from one forward through the blocks that
-    captures every witness; a block with an input-free scale keeps it."""
+    block needs a witness, else from one pass through the blocks that
+    captures a witness only where the scale depends on the input."""
     if None not in fixed:
         return fixed
     scales = []
     with no_grad():
         h = model.project_in(x)
         for block, scale in zip(model.blocks, fixed):
-            h, _, witness = block.witness(h)
-            scales.append(float(ratio_general(witness).mean()) if scale is None else scale)
+            if scale is None:
+                h, _, witness = block.witness(h)
+                scale = float(ratio_general(witness).mean())
+            else:
+                h = block.forward(h)
+            scales.append(scale)
     return scales
 
 

@@ -205,16 +205,14 @@ def _norm_node(x, p, out, grads, op):
     return Tensor(out, x.requires_grad or w.requires_grad or b.requires_grad, (x, w, b), op, backward)
 
 
-def layer_norm(x, p, stats_out=None):
+def layer_norm(x, p):
     """Per-row normalization y = gain * (x - mu) / sigma + bias.
 
     mu is the row mean and sigma = sqrt(population variance + eps), the
-    denominator actually used in forward. If ``stats_out`` is a list,
-    the per-row (mu, sigma) pair is appended to it so callers can record
-    a decomposition witness.
+    denominator actually used in forward.
     """
     _require_2d(x.data, p.dim, "layer_norm")
-    out, grads = _layer_norm_forward(x.data, p, False, stats_out)
+    out, grads = _layer_norm_forward(x.data, p, False)
     return _norm_node(x, p, out, grads, "layer_norm")
 
 
@@ -231,16 +229,16 @@ def batch_norm(x, p):
     return _norm_node(x, p, out, grads, "batch_norm")
 
 
-def combine_norm(x, y, a=1.0, c=1.0, norm=None, stats_out=None):
+def combine_norm(x, y, a=1.0, c=1.0, norms=(), stats_out=None):
     """One tape node for a residual block's skip combination: the chain
     y_k = N_k(a*x + c*y_{k-1}), k = 1..L, with y_0 = ``y``.
 
     ``a`` is a float or a per-feature vector tensor (a learned shortcut
-    gain) and ``c`` a float. ``norm`` is None for no normalization (the
-    bare a*x + c*y), one LayerNormParams or BatchNormParams (in its
-    current mode), or a sequence of them applied innermost first; an
-    empty sequence is None. ``stats_out`` receives the layer-norm witness
-    of every level, innermost first, as :func:`layer_norm` records it.
+    gain) and ``c`` a float. ``norms`` is a sequence of LayerNormParams
+    and BatchNormParams (each in its current mode) applied innermost
+    first; an empty one gives the bare a*x + c*y. If ``stats_out`` is a
+    list, every layer-norm level appends its per-row (mu, sigma), the
+    mean and the exact forward denominator, innermost first.
 
     Values and gradients are bit-identical to the same chain composed
     from ``scale``/``ewmul``, ``add`` and the norms, one node per op: the
@@ -255,7 +253,6 @@ def combine_norm(x, y, a=1.0, c=1.0, norm=None, stats_out=None):
     """
     if x.data.shape != y.data.shape:
         raise DimensionError(f"combine_norm: shapes {x.data.shape} and {y.data.shape} differ")
-    norms = [] if norm is None else [norm] if isinstance(norm, (LayerNormParams, BatchNormParams)) else list(norm)
     for p in norms:
         _require_2d(x.data, p.dim, "combine_norm")
     learned = isinstance(a, Tensor)

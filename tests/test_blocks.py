@@ -458,6 +458,25 @@ class TestCheckpoints:
         with pytest.raises(ContractError):
             save_model(model, tmp_path / "model.bin")
 
+    @pytest.mark.parametrize("token, field", [
+        ("2rskip-ln", "eps"), ("2rskip-bn", "eps"), ("2rskip-bn", "momentum"),
+    ])
+    def test_a_norm_setting_the_file_cannot_hold_is_refused_before_any_write(self, tmp_path, token, field):
+        """The header has no eps or momentum, so a load would silently
+        bring back the defaults."""
+        model = build_model(ModelConfig(SkipConstruction.parse(token), 2, 2, 4, 4, 2), seed=0)
+        setattr(model.blocks[-1].norms[-1], field, 0.5)
+        fresh = tmp_path / "fresh.bin"
+        with pytest.raises(ContractError, match="eps or momentum"):
+            save_model(model, fresh)
+        assert not fresh.exists()
+        existing = tmp_path / "existing.bin"
+        save_model(build_model(ModelConfig(SkipConstruction.parse(token), 2, 2, 4, 4, 2), seed=1), existing)
+        before = existing.read_bytes()
+        with pytest.raises(ContractError, match="eps or momentum"):
+            save_model(model, existing)
+        assert existing.read_bytes() == before
+
 
 def header_fields(raw):
     return list(blocks._HEADER.unpack_from(raw))

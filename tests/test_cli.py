@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -255,6 +256,15 @@ class TestLambdaText:
 
 
 class TestBadSizes:
+    @pytest.mark.parametrize("argv", [
+        ["--classes", "1000000000"],  # the default 512 train and 512 test points
+        ["--classes", "49"] + TINY,  # one class more than the 48 test points
+    ], ids=["a-billion-classes", "one-class-too-many"])
+    def test_more_classes_than_points_exits_2_at_once(self, argv, capsys):
+        start = time.perf_counter()
+        assert_exit_2(["train"] + argv, capsys)
+        assert time.perf_counter() - start < 5.0
+
     @pytest.mark.parametrize("width", ["0", "-2"])
     def test_ratio_check_width_below_one_exits_2(self, width, capsys):
         assert_exit_2(["ratio-check", "--width", width, "--samples", "2"], capsys)

@@ -49,6 +49,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             DatasetSpec("spiral", n_train=0)
 
+    def test_every_class_needs_a_point_in_each_split(self):
+        assert gen_synthetic(DatasetSpec("spiral", classes=4, n_train=4, n_test=5)).classes == 4
+        for n_train, n_test in ((3, 5), (5, 3)):
+            with pytest.raises(ConfigError, match="4 classes"):
+                DatasetSpec("spiral", classes=4, n_train=n_train, n_test=n_test)
+
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigError):
             DatasetSpec("spiral", noise=-0.1)

@@ -17,7 +17,6 @@ from skipnorm import (
     GradCheckReport,
     GradReport,
     ModelConfig,
-    ResidualBlock,
     ResidualModel,
     SkipConstruction,
     SkipKind,
@@ -325,8 +324,9 @@ class TestEffectiveScaleSweep:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 2))
         report = effective_scale_sweep(model, [x])
-        ins = []
-        model.forward(Tensor(x), block_inputs=ins)
+        outs = []
+        model.forward(Tensor(x), block_outputs=outs)
+        ins = [model.project_in(x)] + outs[:-1]
         for block, h, got in zip(model.blocks, ins, report.per_block):
             _, _, wit = block.witness(Tensor(h.data))
             assert got == pytest.approx(float(ratio_general(wit).mean()), abs=1e-12)
@@ -354,9 +354,10 @@ def two_pass_scale_sweep(model, batches):
     samples = 0
     for batch in batches:
         x = np.asarray(batch[0] if isinstance(batch, tuple) else batch, dtype=np.float64)
-        ins = []
+        outs = []
         with no_grad():
-            model.forward(Tensor(x), block_inputs=ins)
+            model.forward(Tensor(x), block_outputs=outs)
+            ins = [model.project_in(x)] + outs[:-1]
             for i, (block, h) in enumerate(zip(model.blocks, ins)):
                 totals[i] += effective_scale(block, Tensor(h.data)) * x.shape[0]
         samples += x.shape[0]
@@ -416,16 +417,16 @@ class TestEffectiveScaleSweepPasses:
     def test_block_forwards_per_batch(self, construction, calls_per_batch, monkeypatch):
         model = scale_model(construction, seed=5, depth=4)
         calls = []
-        forward = ResidualBlock.forward
+        branch = AffineReluBranch.__call__
 
-        def counted(block, *args, **kwargs):
-            calls.append(block)
-            return forward(block, *args, **kwargs)
+        def counted(f, x):
+            calls.append(f)
+            return branch(f, x)
 
-        monkeypatch.setattr(ResidualBlock, "forward", counted)
+        monkeypatch.setattr(AffineReluBranch, "__call__", counted)
         rng = np.random.default_rng(0)
         effective_scale_sweep(model, [rng.normal(size=(n, 3)) for n in (5, 2, 7)])
-        assert calls == model.blocks[:calls_per_batch] * 3
+        assert calls == [block.branch for block in model.blocks[:calls_per_batch]] * 3
 
     @pytest.mark.parametrize("construction", [
         SkipConstruction(SkipKind.RSKIP_LN, lam=2),

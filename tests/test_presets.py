@@ -1,4 +1,5 @@
-"""The preset vocabulary: every SkipKind's names, shape and checkpoint code.
+"""The preset vocabulary: every SkipKind's names, shape, checkpoint code
+and decomposition witness.
 
 These values are what result tables, CSVs and checkpoints carry, so they
 are pinned literally rather than derived.
@@ -9,7 +10,18 @@ import struct
 import numpy as np
 import pytest
 
-from skipnorm import ModelConfig, SkipConstruction, SkipKind, build_block, build_model, save_model
+from skipnorm import (
+    ContractError,
+    DimensionError,
+    ModelConfig,
+    SkipConstruction,
+    SkipKind,
+    Tensor,
+    build_block,
+    build_model,
+    save_model,
+    unroll_decompose,
+)
 
 K = SkipKind
 
@@ -68,3 +80,37 @@ def test_kind_codes_are_pinned():
     assert [k.value for k in SkipKind] == [
         "plain", "xskip", "xskip-ln", "rskip-ln", "wskip-ln", "xskip-bn", "rskip-bn", "contracted-f-ln",
     ]
+
+
+# (token, w_skip init) of every preset, at the default init w = 1, plus
+# the recursion depths and the skip gain the presets leave out; the witness
+# describes exactly the LN blocks y_k = LN_k(x + y_{k-1}), a = c = 1
+WITNESS_CASES = [(p[0], 1.0) for p in PRESETS] + [
+    ("1xskip-ln", 1.0), ("2rskip-ln", 1.0), ("4rskip-ln", 1.0), ("wskip-ln", 1.7),
+]
+WITNESSED = {"1xSkip+LN", "1rSkip+LN", "2rSkip+LN", "3rSkip+LN", "4rSkip+LN", "LN(x+1F)", "wSkip+LN at w=1"}
+
+
+@pytest.mark.parametrize("token, w", WITNESS_CASES, ids=[t if w == 1 else f"{t}-w{w}" for t, w in WITNESS_CASES])
+def test_witness_reconstructs_its_block_or_refuses(token, w):
+    rng = np.random.default_rng(8)
+    block = build_block(SkipConstruction.parse(token), width=8, hidden=6, rng=rng, w_skip_init=w)
+    for p in block.norms:
+        p.gain.data = rng.uniform(0.3, 1.7, size=8)
+        p.bias.data = 0.5 * rng.normal(size=8)
+    name = block.construction.label() + (f" at w={w:g}" if block.w_skip is not None else "")
+    x = Tensor(rng.normal(size=(4, 8)))
+    if name not in WITNESSED:
+        calls = []
+        branch = block.branch
+        block.branch = lambda v: calls.append(v) or branch(v)
+        with pytest.raises(ContractError, match="a = c = 1"):
+            block.witness(x)
+        assert calls == []  # refused before any forward
+        return
+    y, f, witness = block.witness(x)
+    assert y.data.tobytes() == block.forward(x).data.tobytes()
+    coef_x, coef_f, const = unroll_decompose(witness, x.data, f.data)
+    assert np.abs(coef_x * x.data + coef_f * f.data + const - y.data).max() <= 1e-10
+    with pytest.raises(DimensionError):
+        block.witness(Tensor(np.zeros((4, 7))))

@@ -487,13 +487,13 @@ def _frozen_input_cases():
             cases[f"combine_norm-{norm}-c{c}"] = (
                 [row, row] + [vec, vec] * (norm is not None),
                 lambda t, s, norm=norm, c=c: combine_norm(
-                    t[0], t[1], a=2.0, c=c, norm=_norm_params(norm, *t[2:], s) if norm else None
+                    t[0], t[1], a=2.0, c=c, norms=[_norm_params(norm, *t[2:], s)] if norm else []
                 ),
             )
             cases[f"combine_norm-{norm}-c{c}-learned"] = (
                 [row, row, vec] + [vec, vec] * (norm is not None),
                 lambda t, s, norm=norm, c=c: combine_norm(
-                    t[0], t[1], a=t[2], c=c, norm=_norm_params(norm, *t[3:], s) if norm else None
+                    t[0], t[1], a=t[2], c=c, norms=[_norm_params(norm, *t[3:], s)] if norm else []
                 ),
             )
     return cases

@@ -168,7 +168,8 @@ class TestTrain:
         assert result.train_loss[-1] < result.train_loss[0]
 
     def test_batch_too_large_for_dataset_raises(self):
-        data = tiny_data(n=1)
+        data = tiny_data()  # a spec needs a point of each class in each split
+        data.x_train, data.y_train = data.x_train[:1], data.y_train[:1]
         cfg = tiny_cfg(SkipConstruction(SkipKind.XSKIP_BN, lam=2.0), batch_size=16)
         with pytest.raises(ConfigError):
             train(cfg, data)  # single-row batches are skipped for batch norm
