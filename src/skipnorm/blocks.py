@@ -7,6 +7,7 @@ is a two-layer affine+relu bottleneck, but any differentiable callable
 of matching width works.
 """
 
+import errno
 import math
 import os
 import stat
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_seed
-from .normalization import DEFAULT_EPS, BatchNormParams, LayerNormParams, combine_norm
+from .normalization import BatchNormParams, LayerNormParams, combine_norm
 from .ratio import RatioWitness, ratio_general
 from .tensor import Tensor, _records, add, matmul, no_grad, relu
 
@@ -381,7 +382,6 @@ class ModelConfig:
     width: int
     hidden: int
     classes: int
-    w_skip_init: float = 1.0
 
     def __post_init__(self):
         if self.depth < 1:
@@ -389,8 +389,6 @@ class ModelConfig:
         for name in ("d_in", "width", "hidden", "classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not math.isfinite(self.w_skip_init):
-            raise ConfigError(f"w_skip_init must be a finite number, got {self.w_skip_init}")
 
 
 class ResidualModel:
@@ -447,13 +445,13 @@ class ResidualModel:
         return sum(p.data.size for _, p, _ in self.parameters())
 
 
-def build_block(construction, width, hidden, rng, w_skip_init=1.0):
+def build_block(construction, width, hidden, rng):
     """One freshly initialized block: branch draws from rng, norm gains
-    start at 1 and biases at 0, w_skip at the given constant."""
+    and w_skip start at 1 and biases at 0."""
     branch = AffineReluBranch.init(width, hidden, rng)
     w_skip = None
     if construction._lowered.a == "w":
-        w_skip = Tensor(np.full(width, float(w_skip_init)), requires_grad=True)
+        w_skip = Tensor(np.ones(width), requires_grad=True)
     norms = [_NORM_PARAMS[construction._lowered.norm].create(width) for _ in range(construction.levels)]
     return ResidualBlock(construction, branch, norms, w_skip, width=width)
 
@@ -470,7 +468,7 @@ def build_model(cfg, seed):
     c = cfg.construction
     in_w = Tensor(rng.normal(0.0, np.sqrt(1.0 / cfg.d_in), (cfg.d_in, cfg.width)), requires_grad=True)
     in_b = Tensor(np.zeros(cfg.width), requires_grad=True)
-    blocks = [build_block(c, cfg.width, cfg.hidden, rng, cfg.w_skip_init) for _ in range(cfg.depth)]
+    blocks = [build_block(c, cfg.width, cfg.hidden, rng) for _ in range(cfg.depth)]
     out_w = Tensor(rng.normal(0.0, np.sqrt(1.0 / cfg.width), (cfg.width, cfg.classes)), requires_grad=True)
     out_b = Tensor(np.zeros(cfg.classes), requires_grad=True)
     return ResidualModel(in_w, in_b, blocks, out_w, out_b, config=cfg)
@@ -479,10 +477,13 @@ def build_model(cfg, seed):
 # checkpoint layout: magic, version, construction, geometry, parameter
 # count, then every parameter in declaration order as little-endian
 # doubles. Version 2 appends the running mean and variance of every batch
-# norm, block by block and level by level; version 1 files, which lack
-# them, are read only for kinds without batch norm.
+# norm, block by block and level by level, and version 3 then each one's
+# mode, as its index in _MODES. Version 2 files load in training mode;
+# version 1 files, which lack the statistics too, are read only for kinds
+# without batch norm.
 _MAGIC = b"SKNM"
-_VERSION = 2
+_VERSION = 3
+_MODES = ("training", "inference")
 _KIND_CODES = {k: i for i, k in enumerate(SkipKind)}
 _CODE_KINDS = {i: k for k, i in _KIND_CODES.items()}
 _HEADER = struct.Struct("<4sII d d IIIII Q")
@@ -495,9 +496,11 @@ def _param_count(cfg):
     return cfg.d_in * w + w + cfg.depth * per_block + w * cfg.classes + cfg.classes
 
 
-def _stats_count(cfg):
-    """Doubles of batch-norm running statistics a checkpoint carries."""
-    return 2 * cfg.depth * cfg.construction.levels * cfg.width if cfg.construction.uses_bn else 0
+def _stats_count(cfg, version):
+    """Doubles of batch-norm state a checkpoint of this version carries:
+    running statistics, and from version 3 on one mode per norm."""
+    c = cfg.construction
+    return cfg.depth * c.levels * (2 * cfg.width + (version >= 3)) if c.uses_bn else 0
 
 
 def save_model(model, path):
@@ -507,14 +510,13 @@ def save_model(model, path):
         raise ContractError("only models carrying a ModelConfig can be checkpointed")
     arrays = [p.data for _, p, _ in model.parameters()]
     count = sum(a.size for a in arrays)
-    for block in model.blocks:
-        for p in block.norms:
-            bn = isinstance(p, BatchNormParams)
-            # the file has no field for them: a load would give the defaults
-            if p.eps != DEFAULT_EPS or bn and p.momentum != BatchNormParams.momentum:
-                raise ContractError("a checkpoint stores no norm eps or momentum, so each must keep its default")
-            if bn:
-                arrays += [p.running_mean, p.running_var]
+    bns = [p for block in model.blocks for p in block.norms if isinstance(p, BatchNormParams)]
+    for p in bns:
+        if p.mode not in _MODES:
+            raise ContractError(f"unknown batch_norm mode {p.mode!r}")
+        arrays += [p.running_mean, p.running_var]
+    if bns:
+        arrays.append(np.array([_MODES.index(p.mode) for p in bns], dtype=float))
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
@@ -529,10 +531,15 @@ def save_model(model, path):
         count,
     )
     payload = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    # non-blocking, so a FIFO is refused here instead of waiting for a reader
     try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise OSError(f"{path}: not a regular file")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
+    except OSError as exc:
+        if exc.errno == errno.ENXIO:  # a FIFO with no reader, or a socket
+            raise OSError(f"{path}: not a regular file") from None
+        raise
+    try:
+        _check_regular(path, fd)
         # overwrite in place, header last: a save cut short reads back as
         # a bad magic, never as a mix of two models
         os.pwrite(fd, bytes(4), 0)
@@ -551,26 +558,34 @@ def load_model(path):
     the payload is read or anything is allocated; the payload is then
     read straight into the arrays, with no copy of the whole of it.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        size = _check_regular(path, fh.fileno()).st_size
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise FormatError(f"{path}: truncated header")
-        cfg = _read_header(path, head)
-        expected = _HEADER.size + 8 * (_param_count(cfg) + _stats_count(cfg))
-        size = os.fstat(fh.fileno()).st_size
+        cfg, version = _read_header(path, head)
+        expected = _HEADER.size + 8 * (_param_count(cfg) + _stats_count(cfg, version))
         if size != expected:
             raise FormatError(f"{path}: expected {expected} bytes, found {size}")
-        return _read_model(cfg, fh, path), cfg
+        return _read_model(cfg, version, fh, path), cfg
+
+
+def _check_regular(path, fd):
+    """The fstat of an open checkpoint; OSError unless it is a regular file."""
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):
+        raise OSError(f"{path}: not a regular file")
+    return info
 
 
 def _read_header(path, head):
-    """The model config a valid checkpoint header declares."""
+    """The model config and format version a valid checkpoint header declares."""
     magic, version, kind_code, lam, residual_scale, depth, d_in, width, hidden, classes, count = (
         _HEADER.unpack(head)
     )
     if magic != _MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
-    if version not in (1, _VERSION):
+    if version not in (1, 2, _VERSION):
         raise FormatError(f"{path}: unsupported version {version}")
     if kind_code not in _CODE_KINDS:
         raise FormatError(f"{path}: unknown construction code {kind_code}")
@@ -585,10 +600,10 @@ def _read_header(path, head):
         raise FormatError(
             f"{path}: version {version} checkpoint of {construction.label()} lacks batch-norm running statistics"
         )
-    return cfg
+    return cfg, version
 
 
-def _read_model(cfg, fh, path):
+def _read_model(cfg, version, fh, path):
     """Assemble a model of a validated geometry from the payload of an
     open checkpoint file: every array is allocated as the model is
     assembled, then all of them are filled with one vectored read."""
@@ -614,12 +629,18 @@ def _read_model(cfg, fh, path):
         w_skip = param(w) if c._lowered.a == "w" else None
         blocks.append(ResidualBlock(c, branch, norms, w_skip, width=w))
     out_w, out_b = param(w, cfg.classes), param(cfg.classes)
+    bns = [p for block in blocks for p in block.norms] if c.uses_bn and version >= 3 else []
+    modes = take(1, len(bns)) if bns else ()
     arrays = sections[0] + sections[1]
     if not _vectored(os.preadv, fh.fileno(), arrays, _HEADER.size):
         raise FormatError(f"{path}: the file ended before its payload did")
     if sys.byteorder == "big":  # the payload is little-endian
         for a in arrays:
             a.byteswap(inplace=True)
+    for p, code in zip(bns, modes):
+        if code not in (0.0, 1.0):
+            raise FormatError(f"{path}: batch-norm mode {code} is neither 0 (training) nor 1 (inference)")
+        p.mode = _MODES[int(code)]
     return ResidualModel(in_w, in_b, blocks, out_w, out_b, config=cfg)
 
 

@@ -82,7 +82,7 @@ def _make_dataset(args):
 
 def _train_config(args, construction, seed=0):
     return TrainConfig(construction, depth=args.depth, width=args.width, hidden=args.hidden, epochs=args.epochs,
-                       batch_size=args.batch_size, lr=args.lr, seed=seed, w_skip_init=args.w_skip_init)
+                       batch_size=args.batch_size, lr=args.lr, seed=seed)
 
 
 def _check_writable(path, regular=False):
@@ -186,9 +186,7 @@ def _cmd_gradnorm(args):
             raise ConfigError(f"{args.checkpoint}: a {cfg.classes}-class model cannot score {data.classes}-class data")
     else:
         construction = SkipConstruction.parse(args.construction, args.lam)
-        mcfg = ModelConfig(
-            construction, args.depth, data.d_in, args.width, args.hidden, data.classes, args.w_skip_init
-        )
+        mcfg = ModelConfig(construction, args.depth, data.d_in, args.width, args.hidden, data.classes)
         model = build_model(mcfg, args.seed)
     n = min(args.samples, len(data.x_test))
     if n < 1:
@@ -234,8 +232,6 @@ def _add_model_flags(p):
         p.add_argument("--depth", type=int, default=16, help="number of residual blocks"),
         p.add_argument("--width", type=int, default=64, help="block feature width"),
         p.add_argument("--hidden", type=int, default=64, help="branch hidden width"),
-        p.add_argument("--w-skip-init", type=float, default=1.0,
-                       help="initial value of the learned skip vector (wskip-ln)"),
     ]
 
 

@@ -1,7 +1,7 @@
 """Parameterized layer normalization and batch normalization.
 
 Both norms use population variance, and sigma is defined as the exact
-forward denominator sqrt(var + eps). The unrolled-coefficient analysis
+forward denominator sqrt(var + EPS). The unrolled-coefficient analysis
 in :mod:`skipnorm.ratio` relies on capturing that same denominator, so
 the reconstruction identity is exact rather than eps-approximate.
 
@@ -24,7 +24,8 @@ from .tensor import Tensor, _accumulate, _records
 
 __all__ = ["LayerNormParams", "BatchNormParams", "layer_norm", "batch_norm", "combine_norm"]
 
-DEFAULT_EPS = 1e-5
+EPS = 1e-5  # added to every variance under the square root
+MOMENTUM = 0.1  # a batch norm's running-statistics update rate
 
 
 @dataclass
@@ -33,22 +34,15 @@ class LayerNormParams:
 
     gain: Tensor
     bias: Tensor
-    eps: float = DEFAULT_EPS
 
     def __post_init__(self):
         if self.gain.data.ndim != 1 or self.gain.data.shape != self.bias.data.shape:
             raise DimensionError("gain and bias must be 1-D vectors of equal length")
-        if self.eps <= 0:
-            raise ContractError("eps must be positive")
 
     @classmethod
-    def create(cls, d, eps=DEFAULT_EPS):
+    def create(cls, d):
         """Fresh parameters: gain 1, bias 0."""
-        return cls(
-            gain=Tensor(np.ones(d), requires_grad=True),
-            bias=Tensor(np.zeros(d), requires_grad=True),
-            eps=eps,
-        )
+        return cls(gain=Tensor(np.ones(d), requires_grad=True), bias=Tensor(np.zeros(d), requires_grad=True))
 
     @property
     def dim(self):
@@ -68,28 +62,20 @@ class BatchNormParams:
     bias: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = DEFAULT_EPS
     mode: str = "training"
 
     def __post_init__(self):
-        if not 0.0 < self.momentum < 1.0:
-            raise ContractError("momentum must lie in (0, 1)")
-        if self.eps <= 0:
-            raise ContractError("eps must be positive")
         d = self.gain.data.shape[0]
         if self.bias.data.shape != (d,) or self.running_mean.shape != (d,) or self.running_var.shape != (d,):
             raise DimensionError("gain, bias, and running statistics must share one length")
 
     @classmethod
-    def create(cls, d, momentum=0.1, eps=DEFAULT_EPS):
+    def create(cls, d):
         return cls(
             gain=Tensor(np.ones(d), requires_grad=True),
             bias=Tensor(np.zeros(d), requires_grad=True),
             running_mean=np.zeros(d),
             running_var=np.ones(d),
-            momentum=momentum,
-            eps=eps,
         )
 
     @property
@@ -125,7 +111,7 @@ def _standardize(z, p, axis, owned):
     centered = np.subtract(z, mu, out=z if owned else None)
     work = centered * centered
     var = work.sum(axis=axis, keepdims=True) / n
-    sigma = np.sqrt(var + p.eps)
+    sigma = np.sqrt(var + EPS)
     xhat = np.divide(centered, sigma, out=centered)
     out = np.multiply(p.gain.data, xhat, out=work)
     out += p.bias.data
@@ -167,7 +153,7 @@ def _layer_norm_forward(z, p, owned, stats_out=None):
 
 def _batch_norm_forward(z, p, owned):
     if p.mode == "inference":
-        denom = np.sqrt(p.running_var + p.eps)
+        denom = np.sqrt(p.running_var + EPS)
         xhat = np.subtract(z, p.running_mean, out=z if owned else None)
         xhat /= denom
         out = p.gain.data * xhat
@@ -187,9 +173,8 @@ def _batch_norm_forward(z, p, owned):
     if z.shape[0] < 2:
         raise ContractError("batch_norm training mode requires batch size >= 2")
     out, xhat, mu, var, sigma = _standardize(z, p, 0, owned)
-    m = p.momentum
-    p.running_mean = (1.0 - m) * p.running_mean + m * mu[0]
-    p.running_var = (1.0 - m) * p.running_var + m * var[0]
+    p.running_mean = (1.0 - MOMENTUM) * p.running_mean + MOMENTUM * mu[0]
+    p.running_var = (1.0 - MOMENTUM) * p.running_var + MOMENTUM * var[0]
     return out, _standardize_backward(p, xhat, sigma, 0)
 
 
@@ -208,7 +193,7 @@ def _norm_node(x, p, out, grads, op):
 def layer_norm(x, p):
     """Per-row normalization y = gain * (x - mu) / sigma + bias.
 
-    mu is the row mean and sigma = sqrt(population variance + eps), the
+    mu is the row mean and sigma = sqrt(population variance + EPS), the
     denominator actually used in forward.
     """
     _require_2d(x.data, p.dim, "layer_norm")

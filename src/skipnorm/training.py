@@ -55,7 +55,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 0.1
     seed: int = 0
-    w_skip_init: float = 1.0
 
     def __post_init__(self):
         _check_seed(self.seed)
@@ -63,9 +62,8 @@ class TrainConfig:
             raise ConfigError("epochs cannot be negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
-        for name in ("lr", "w_skip_init"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)}")
+        if not math.isfinite(self.lr):
+            raise ConfigError(f"lr must be a finite number, got {self.lr}")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
 
@@ -186,9 +184,7 @@ def train(cfg, data):
     is pinned to 1.0, and the remaining curve entries are inf.
     """
     t0 = time.perf_counter()
-    model_cfg = ModelConfig(
-        cfg.construction, cfg.depth, data.d_in, cfg.width, cfg.hidden, data.classes, cfg.w_skip_init
-    )
+    model_cfg = ModelConfig(cfg.construction, cfg.depth, data.d_in, cfg.width, cfg.hidden, data.classes)
     model = build_model(model_cfg, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     params = list(model.parameters())

@@ -1,7 +1,11 @@
 """Block constructions: equivalences, parameter ownership, checkpoints."""
 
 import os
+import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -308,11 +312,6 @@ class TestModel:
         with pytest.raises(ConfigError):
             ModelConfig(SkipConstruction(SkipKind.PLAIN), 0, 2, 8, 8, 3)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_w_skip_init_rejected(self, value):
-        with pytest.raises(ConfigError):
-            ModelConfig(SkipConstruction(SkipKind.WSKIP_LN), 2, 2, 8, 8, 3, w_skip_init=value)
-
     def test_block_width_mismatch_raises(self):
         block = fresh_block(SkipKind.XSKIP_LN, lam=2.0)
         with pytest.raises(DimensionError):
@@ -442,7 +441,8 @@ class TestCheckpoints:
         monkeypatch.setattr(
             blocks,
             "os",
-            SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=size), preadv=os.preadv, sysconf=os.sysconf),
+            SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=size, st_mode=os.fstat(fd).st_mode),
+                            preadv=os.preadv, sysconf=os.sysconf, open=os.open, O_NONBLOCK=os.O_NONBLOCK),
         )
         with pytest.raises(FormatError, match="ended before its payload"):
             load_model(path)
@@ -457,25 +457,6 @@ class TestCheckpoints:
         model = ResidualModel(leaf(np.zeros((2, 4))), leaf(np.zeros(4)), [], leaf(np.zeros((4, 2))), leaf(np.zeros(2)))
         with pytest.raises(ContractError):
             save_model(model, tmp_path / "model.bin")
-
-    @pytest.mark.parametrize("token, field", [
-        ("2rskip-ln", "eps"), ("2rskip-bn", "eps"), ("2rskip-bn", "momentum"),
-    ])
-    def test_a_norm_setting_the_file_cannot_hold_is_refused_before_any_write(self, tmp_path, token, field):
-        """The header has no eps or momentum, so a load would silently
-        bring back the defaults."""
-        model = build_model(ModelConfig(SkipConstruction.parse(token), 2, 2, 4, 4, 2), seed=0)
-        setattr(model.blocks[-1].norms[-1], field, 0.5)
-        fresh = tmp_path / "fresh.bin"
-        with pytest.raises(ContractError, match="eps or momentum"):
-            save_model(model, fresh)
-        assert not fresh.exists()
-        existing = tmp_path / "existing.bin"
-        save_model(build_model(ModelConfig(SkipConstruction.parse(token), 2, 2, 4, 4, 2), seed=1), existing)
-        before = existing.read_bytes()
-        with pytest.raises(ContractError, match="eps or momentum"):
-            save_model(model, existing)
-        assert existing.read_bytes() == before
 
 
 def header_fields(raw):
@@ -524,7 +505,8 @@ class TestCheckpointFormat:
         assert loaded.forward(data.x_test).data.tobytes() == expected.tobytes()
 
     def test_only_batch_norm_checkpoints_carry_statistics(self, tmp_path):
-        for token, stats in (("2rskip-bn", 2 * 2 * 6 * 3), ("2rskip-ln", 0), ("wskip-ln", 0)):
+        # two statistics of width 6 and one mode per norm, 2 norms per block, 3 blocks
+        for token, stats in (("2rskip-bn", (2 * 6 + 1) * 2 * 3), ("2rskip-ln", 0), ("wskip-ln", 0)):
             model, _ = self.trained(token)
             path = tmp_path / "model.bin"
             save_model(model, path)
@@ -606,17 +588,22 @@ def moved_model(token, depth, width, hidden, seed=0):
     return model
 
 
+def batch_norms(model):
+    return [p for b in model.blocks for p in b.norms if isinstance(p, BatchNormParams)]
+
+
 def checkpoint_arrays(model):
-    stats = [s for b in model.blocks for n in b.norms if isinstance(n, BatchNormParams)
-             for s in (n.running_mean, n.running_var)]
-    return [p.data for _, p, _ in model.parameters()] + stats
+    bns = batch_norms(model)
+    stats = [s for n in bns for s in (n.running_mean, n.running_var)]
+    modes = [np.array([{"training": 0.0, "inference": 1.0}[n.mode] for n in bns])] if bns else []
+    return [p.data for _, p, _ in model.parameters()] + stats + modes
 
 
 def reference_bytes(model):
     """The checkpoint format spelt out: the header, then every array as
     little-endian doubles."""
     cfg, c = model.config, model.config.construction
-    header = blocks._HEADER.pack(b"SKNM", 2, list(SkipKind).index(c.kind), c.lam, c.residual_scale, cfg.depth,
+    header = blocks._HEADER.pack(b"SKNM", 3, list(SkipKind).index(c.kind), c.lam, c.residual_scale, cfg.depth,
                                  cfg.d_in, cfg.width, cfg.hidden, cfg.classes, model.param_count())
     return header + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in checkpoint_arrays(model))
 
@@ -748,6 +735,11 @@ class TestParseLambdaText:
             SkipConstruction.parse(token, lam)
 
 
+# the 14 presets
+PRESET_TOKENS = ["plain", "0.5xskip", "1xskip", "2xskip", "0.5xskip-ln", "2xskip-ln", "1rskip-ln", "3rskip-ln",
+                 "wskip-ln", "2xskip-bn", "1rskip-bn", "3rskip-bn", "contracted-f-ln:1", "contracted-f-ln:3"]
+
+
 @st.composite
 def presets(draw):
     """Any construction preset: every kind, several lambdas and residual scales."""
@@ -793,9 +785,7 @@ class TestCheckpointProperty:
         save_model(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("token", ["plain", "0.5xskip", "1xskip", "2xskip", "0.5xskip-ln", "2xskip-ln",
-                                       "1rskip-ln", "3rskip-ln", "wskip-ln", "2xskip-bn", "1rskip-bn", "3rskip-bn",
-                                       "contracted-f-ln:1", "contracted-f-ln:3"])
+    @pytest.mark.parametrize("token", PRESET_TOKENS)
     @settings(max_examples=15, deadline=None)
     @given(
         depth=st.integers(1, 4),
@@ -809,6 +799,129 @@ class TestCheckpointProperty:
         cfg = ModelConfig(SkipConstruction.parse(token), depth, d_in, width, hidden, classes)
         model = build_model(cfg, 0)
         assert blocks._param_count(cfg) == model.param_count()
-        stats = [s for b in model.blocks for p in b.norms if isinstance(p, BatchNormParams)
-                 for s in (p.running_mean, p.running_var)]
-        assert blocks._stats_count(cfg) == sum(s.size for s in stats)
+        bns = batch_norms(model)
+        stats = [s for p in bns for s in (p.running_mean, p.running_var)]
+        assert blocks._stats_count(cfg, blocks._VERSION) == sum(s.size for s in stats) + len(bns)  # one mode each
+
+
+class TestCheckpointHoldsTheWholeModel:
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    @pytest.mark.parametrize("token", PRESET_TOKENS)
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        depth=st.integers(1, 3),
+        d_in=st.integers(1, 4),
+        width=st.integers(1, 5),
+        hidden=st.integers(1, 4),
+        classes=st.integers(1, 4),
+        batch=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_loaded_model_is_the_saved_one(self, tmp_path, token, mode, depth, d_in, width, hidden, classes,
+                                             batch, seed):
+        rng = np.random.default_rng(seed)
+        model = build_model(ModelConfig(SkipConstruction.parse(token), depth, d_in, width, hidden, classes), seed)
+        for _, p, _ in model.parameters():
+            p.data = rng.normal(size=p.data.shape)
+        for p in batch_norms(model):
+            p.running_mean, p.running_var = rng.normal(size=width), rng.uniform(0.1, 3.0, size=width)
+        model.set_norm_mode(mode)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        loaded, cfg = load_model(path)
+        assert cfg == model.config and loaded.config == model.config
+        assert [(n, p.data.tobytes()) for n, p, _ in loaded.parameters()] == [
+            (n, p.data.tobytes()) for n, p, _ in model.parameters()
+        ]
+        assert [(p.running_mean.tobytes(), p.running_var.tobytes(), p.mode) for p in batch_norms(loaded)] == [
+            (p.running_mean.tobytes(), p.running_var.tobytes(), p.mode) for p in batch_norms(model)
+        ]
+        # no set_norm_mode on either: each runs in the mode it holds
+        x = rng.normal(size=(batch, d_in))
+        assert loaded.forward(x).data.tobytes() == model.forward(x).data.tobytes()
+
+
+class TestBatchNormModes:
+    def test_a_trained_model_loads_in_the_inference_mode_training_left_it_in(self, tmp_path):
+        model, data = TestCheckpointFormat().trained("2rskip-bn")
+        assert {p.mode for p in batch_norms(model)} == {"inference"}
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        loaded, _ = load_model(path)
+        assert {p.mode for p in batch_norms(loaded)} == {"inference"}
+        assert loaded.forward(data.x_test).data.tobytes() == model.forward(data.x_test).data.tobytes()
+        assert [p.running_var.tobytes() for p in batch_norms(loaded)] == [
+            p.running_var.tobytes() for p in batch_norms(model)
+        ]
+
+    def test_modes_are_stored_per_norm_after_the_statistics(self, tmp_path):
+        model = moved_model("2rskip-bn", depth=2, width=3, hidden=2)
+        norms = batch_norms(model)
+        for p, mode in zip(norms, ["inference", "training", "training", "inference"]):
+            p.mode = mode
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        raw = path.read_bytes()
+        assert struct.unpack("<4d", raw[-32:]) == (1.0, 0.0, 0.0, 1.0)
+        loaded, _ = load_model(path)
+        assert [p.mode for p in batch_norms(loaded)] == ["inference", "training", "training", "inference"]
+
+    def test_a_version_2_file_loads_in_training_mode(self, tmp_path):
+        model = moved_model("2rskip-bn", depth=2, width=3, hidden=2)
+        model.set_norm_mode("inference")
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        v3 = path.read_bytes()
+        path.write_bytes(with_header(v3, version=2)[:-8 * 4])  # without the 4 mode doubles
+        loaded, _ = load_model(path)
+        assert {p.mode for p in batch_norms(loaded)} == {"training"}
+        assert reference_bytes(loaded)[blocks._HEADER.size:] == v3[blocks._HEADER.size:-32] + bytes(32)
+        path.write_bytes(with_header(v3, version=2))  # a version 2 header on a version 3 payload
+        with pytest.raises(FormatError, match="bytes"):
+            load_model(path)
+
+    @pytest.mark.parametrize("code", [0.5, 2.0, -1.0, float("nan"), float("inf")])
+    def test_a_stored_mode_other_than_0_or_1_is_a_format_error(self, tmp_path, code):
+        path = tmp_path / "model.bin"
+        save_model(moved_model("1rskip-bn", depth=1, width=3, hidden=2), path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", code))
+        with pytest.raises(FormatError, match="mode"):
+            load_model(path)
+
+    def test_an_unknown_mode_is_refused_before_the_file_is_opened(self, tmp_path):
+        model = moved_model("2xskip-bn", depth=2, width=3, hidden=2)
+        batch_norms(model)[-1].mode = "frozen"
+        fresh = tmp_path / "fresh.bin"
+        with pytest.raises(ContractError, match="frozen"):
+            save_model(model, fresh)
+        assert not fresh.exists()
+        existing = tmp_path / "existing.bin"
+        save_model(moved_model("2xskip-bn", depth=2, width=3, hidden=2, seed=1), existing)
+        before = existing.read_bytes()
+        with pytest.raises(ContractError, match="frozen"):
+            save_model(model, existing)
+        assert existing.read_bytes() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("call", [
+    "load_model(path)",
+    "save_model(build_model(ModelConfig(SkipConstruction(SkipKind.PLAIN), 1, 2, 4, 4, 2), 0), path)",
+], ids=["load", "save"])
+def test_a_fifo_with_no_peer_is_refused_at_once(tmp_path, call):
+    """In a child process with a timeout, so a call that blocks fails the
+    test instead of hanging the suite."""
+    fifo = tmp_path / "model.bin"
+    os.mkfifo(fifo)
+    code = (
+        "import sys\n"
+        "from skipnorm import ModelConfig, SkipConstruction, SkipKind, build_model, load_model, save_model\n"
+        "path = sys.argv[1]\n"
+        "try:\n"
+        f"    {call}\n"
+        "except OSError as exc:\n"
+        "    sys.exit(f'refused: {exc}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(fifo)], env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1 and proc.stderr == f"refused: {fifo}: not a regular file\n"

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,7 +196,6 @@ class TestNonFiniteNumbers:
         ("train", ["--lr", "nan"]),
         ("train", ["--lr", "inf"]),
         ("train", ["--noise", "nan"]),
-        ("train", ["--construction", "wskip-ln", "--w-skip-init", "nan"]),
         ("matrix", ["--runs", "1", "--lr", "nan"]),
         ("gradnorm", ["--noise", "inf"]),
     ])
@@ -344,6 +346,18 @@ class TestPathErrors:
         assert_exit_2([a.format(dir=tmp_path, file=file) for a in argv], capsys)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_gradnorm_of_a_fifo_checkpoint_exits_2_at_once(tmp_path):
+    # in a child process, so a read that blocks fails instead of hanging
+    fifo = tmp_path / "model.bin"
+    os.mkfifo(fifo)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "skipnorm.cli", "gradnorm", "--checkpoint", str(fifo)] + TINY_DATA
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {fifo}: not a regular file\n"
+
+
 class TestOutputsCheckedBeforeTraining:
     """An --out or --checkpoint target of train or matrix that cannot be
     written exits 2 before any training, with the error line that writing
@@ -469,7 +483,6 @@ _MODEL = {
     "--construction": (["plain", "2xskip", "xskip-ln", "2rskip-ln", "wskip-ln", "2xskip-bn", "rskip-bn",
                         "contracted-f-ln:3", "plain,2xskip-ln"], ["contracted-f-ln:0", "plain:2", "bogus", ""]),
     "--lambda": (["1", "2", "3"], ["", "0", "-1", "nan", "x", "0.5"]),
-    "--w-skip-init": (["1", "-2"], ["nan", "inf"]),
 }
 _DATA_SIZES = {"--subset": (["10", "20"], ["5", "0"]), "--train-n": (["8", "20"], ["0", "-3"]),
                "--test-n": (["4", "8"], ["0"])}
@@ -561,23 +574,20 @@ class TestCheckpointFixesTheModel:
         ["--depth", "2"],
         ["--width", "4"],
         ["--hidden", "4"],
-        ["--w-skip-init", "nan"],
-        ["--w-skip-init", "2"],
     ])
     def test_a_model_flag_off_its_default_exits_2(self, ckpt, flags, capsys):
         assert_exit_2(["gradnorm", "--checkpoint", ckpt] + flags + TINY_DATA + ["--samples", "8"], capsys)
 
     def test_the_error_names_every_flag_given(self, ckpt, capsys):
-        code, out, err = run_cli(["gradnorm", "--checkpoint", ckpt, "--depth", "0", "--w-skip-init", "3"] + TINY_DATA)
+        code, out, err = run_cli(["gradnorm", "--checkpoint", ckpt, "--depth", "0", "--hidden", "3"] + TINY_DATA)
         assert (code, out) == (2, "")
-        assert "--depth" in err and "--w-skip-init" in err and "--width" not in err
+        assert "--depth" in err and "--hidden" in err and "--width" not in err
 
     def test_model_flags_at_their_defaults_are_accepted(self, ckpt, capsys):
         argv = ["gradnorm", "--checkpoint", ckpt] + TINY_DATA + ["--samples", "8"]
         assert cli.main(argv) == 0
         plain = capsys.readouterr().out
-        defaults = ["--construction", "rskip-ln", "--depth", "16", "--width", "64", "--hidden", "64",
-                    "--w-skip-init", "1"]
+        defaults = ["--construction", "rskip-ln", "--depth", "16", "--width", "64", "--hidden", "64"]
         assert cli.main(argv + defaults) == 0
         assert capsys.readouterr().out == plain
         assert {r["construction"] for r in read_csv_rows(plain)} == {"1xSkip"}

@@ -34,6 +34,7 @@ from skipnorm import (
     softmax_cross_entropy,
     tsum,
 )
+from skipnorm.normalization import EPS, MOMENTUM
 
 
 def reference_branch(branch, x):
@@ -146,7 +147,7 @@ class TestFusedBlock:
         y = f
         for p in block.norms:
             z = add(x, y)
-            composed.append((bits(z.data.mean(axis=1)), bits(np.sqrt(z.data.var(axis=1) + p.eps))))
+            composed.append((bits(z.data.mean(axis=1)), bits(np.sqrt(z.data.var(axis=1) + EPS))))
             y = layer_norm(z, p)
         assert list(zip(map(bits, witness.mus), map(bits, witness.sigmas))) == composed
 
@@ -248,12 +249,12 @@ class TestNormKernels:
             x = Tensor(data, requires_grad=True)
             out = norm(x, params)
             out.backward(g)
-            want = reference_norm(data, params.gain.data, params.bias.data, g, params.eps, axis)
+            want = reference_norm(data, params.gain.data, params.bias.data, g, EPS, axis)
             assert [bits(out.data), bits(params.gain.grad), bits(params.bias.grad), bits(x.grad)] == [
                 bits(v) for v in want[:4]
             ]
             if start is not None:
-                m = params.momentum
+                m = MOMENTUM
                 assert bits(params.running_mean) == bits((1.0 - m) * start[0] + m * want[4][0])
                 assert bits(params.running_var) == bits((1.0 - m) * start[1] + m * want[5][0])
 
@@ -267,7 +268,7 @@ class TestNormKernels:
         g = rng.normal(size=(4, 6))
         out = batch_norm(x, p)
         out.backward(g)
-        denom = np.sqrt(p.running_var + p.eps)
+        denom = np.sqrt(p.running_var + EPS)
         xhat = (x.data - p.running_mean) / denom
         assert bits(out.data) == bits(p.gain.data * xhat + p.bias.data)
         assert bits(p.gain.grad) == bits((g * xhat).sum(axis=0))

@@ -82,7 +82,7 @@ def test_kind_codes_are_pinned():
     ]
 
 
-# (token, w_skip init) of every preset, at the default init w = 1, plus
+# (token, w_skip value) of every preset, at the starting value w = 1, plus
 # the recursion depths and the skip gain the presets leave out; the witness
 # describes exactly the LN blocks y_k = LN_k(x + y_{k-1}), a = c = 1
 WITNESS_CASES = [(p[0], 1.0) for p in PRESETS] + [
@@ -94,7 +94,9 @@ WITNESSED = {"1xSkip+LN", "1rSkip+LN", "2rSkip+LN", "3rSkip+LN", "4rSkip+LN", "L
 @pytest.mark.parametrize("token, w", WITNESS_CASES, ids=[t if w == 1 else f"{t}-w{w}" for t, w in WITNESS_CASES])
 def test_witness_reconstructs_its_block_or_refuses(token, w):
     rng = np.random.default_rng(8)
-    block = build_block(SkipConstruction.parse(token), width=8, hidden=6, rng=rng, w_skip_init=w)
+    block = build_block(SkipConstruction.parse(token), width=8, hidden=6, rng=rng)
+    if block.w_skip is not None:
+        block.w_skip.data[...] = w
     for p in block.norms:
         p.gain.data = rng.uniform(0.3, 1.7, size=8)
         p.bias.data = 0.5 * rng.normal(size=8)

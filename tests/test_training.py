@@ -60,7 +60,7 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(PLAIN, lr=0.0)
 
-    @pytest.mark.parametrize("name", ["lr", "w_skip_init"])
+    @pytest.mark.parametrize("name", ["lr"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_numbers_rejected(self, name, value):
         with pytest.raises(ConfigError):
