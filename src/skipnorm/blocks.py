@@ -571,7 +571,7 @@ def load_model(path):
 
 
 def _check_regular(path, fd):
-    """The fstat of an open checkpoint; OSError unless it is a regular file."""
+    """The fstat of an open file; OSError unless it is a regular file."""
     info = os.fstat(fd)
     if not stat.S_ISREG(info.st_mode):
         raise OSError(f"{path}: not a regular file")

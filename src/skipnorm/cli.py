@@ -85,10 +85,11 @@ def _train_config(args, construction, seed=0):
                        batch_size=args.batch_size, lr=args.lr, seed=seed)
 
 
-def _check_writable(path, regular=False):
+def _check_writable(path):
     """Raise now the OSError that writing ``path`` after a run would raise:
-    a missing directory, a directory, no write access, or, for a
-    checkpoint (``regular``), an existing target that is not a file."""
+    a missing directory, a directory, no write access, or an existing
+    target that is not a regular file (a FIFO blocks the write, or the
+    manifest's read-back)."""
     parent = os.path.dirname(path) or "."
     try:
         os.stat(parent)
@@ -100,21 +101,18 @@ def _check_writable(path, regular=False):
         code = errno.ENOTDIR
     elif not (os.access(path, os.W_OK) if os.path.exists(path) else os.access(parent, os.W_OK | os.X_OK)):
         code = errno.EACCES
-    elif regular and os.path.exists(path) and not os.path.isfile(path):
+    elif os.path.exists(path) and not os.path.isfile(path):
         raise OSError(f"{path}: not a regular file")
     else:
         return
     raise OSError(code, os.strerror(code), path)
 
 
-def _check_outputs(args, checkpoint=False):
-    """Check every file a command will write before it does any work:
-    ``--out`` with its manifest and, if ``checkpoint``, ``--checkpoint``."""
+def _check_outputs(args):
+    """Check ``--out`` and its manifest before a command does any work."""
     if args.out:
         _check_writable(args.out)
         _check_writable(args.out + ".manifest.json")
-    if checkpoint and args.checkpoint:
-        _check_writable(args.checkpoint, regular=True)
 
 
 def _emit(args, text, extra_config=None, artifacts=None, wall_clock=None):
@@ -134,7 +132,9 @@ def _emit(args, text, extra_config=None, artifacts=None, wall_clock=None):
 
 def _cmd_train(args):
     construction = SkipConstruction.parse(args.construction, args.lam)
-    _check_outputs(args, checkpoint=True)
+    _check_outputs(args)
+    if args.checkpoint:
+        _check_writable(args.checkpoint)
     data = _make_dataset(args)
     cfg = _train_config(args, construction, args.seed)
     result, model = train(cfg, data)

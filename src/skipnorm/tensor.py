@@ -107,10 +107,6 @@ class Tensor:
         self._op = _op
         self._id = next(_ids)
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def zero_grad(self):
         self.grad = None
 
@@ -191,16 +187,11 @@ def _check_binary_shapes(a, b, opname):
 
 def _reduce_to_vector(g, ndim):
     # sum out the leading axes a trailing-axis broadcast expanded over
-    return g.sum(axis=tuple(range(ndim - 1))) if ndim > 1 else g
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return g.sum(axis=tuple(range(ndim - 1)))
 
 
 def add(a, b):
     """Elementwise sum, the additive combination of shortcut and residual."""
-    a, b = _as_tensor(a), _as_tensor(b)
     broadcast = _check_binary_shapes(a, b, "add")
 
     def backward(g):
@@ -223,7 +214,6 @@ def scale(a, c):
 
 def ewmul(a, b):
     """Entrywise product; b may be a per-feature vector."""
-    a, b = _as_tensor(a), _as_tensor(b)
     broadcast = _check_binary_shapes(a, b, "ewmul")
 
     def backward(g):
@@ -338,19 +328,20 @@ def _worst(errors):
     return worst
 
 
-def gradcheck(f, inputs, eps=1e-5, tol=1e-4):
+_STEP = 1e-5  # gradcheck's central-difference step
+
+
+def gradcheck(f, inputs, tol=1e-4):
     """Check analytic gradients of a scalar-valued tensor function.
 
-    Every coordinate of every input is perturbed by +-eps and the
+    Every coordinate of every input is perturbed by +-1e-5 and the
     central difference, evaluated without a tape, is compared against
     the gradient produced by ``backward()``. Relative error is
     |a - n| / max(1e-8, |a| + |n|); the check passes iff the maximum
     over all coordinates is <= tol. A NaN error (a NaN or infinite
-    gradient or difference) is the maximum, so it fails. ``eps`` must be
-    finite and positive, ``tol`` finite and non-negative.
+    gradient or difference) is the maximum, so it fails. ``tol`` must be
+    finite and non-negative.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ContractError(f"gradcheck eps must be finite and positive, got {eps}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ContractError(f"gradcheck tol must be finite and non-negative, got {tol}")
     inputs = list(inputs)
@@ -371,13 +362,13 @@ def gradcheck(f, inputs, eps=1e-5, tol=1e-4):
             fp, fm = np.empty(flat.size), np.empty(flat.size)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + eps
+                flat[i] = orig + _STEP
                 fp[i] = float(f(*inputs).data)
-                flat[i] = orig - eps
+                flat[i] = orig - _STEP
                 fm[i] = float(f(*inputs).data)
                 flat[i] = orig
             a = a.reshape(-1)
-            n = (fp - fm) / (2.0 * eps)
+            n = (fp - fm) / (2.0 * _STEP)
             with np.errstate(invalid="ignore"):  # inf/inf: a NaN error, which fails
                 rel = np.abs(a - n) / np.maximum(1e-8, np.abs(a) + np.abs(n))
             per_input.append(_worst(rel))

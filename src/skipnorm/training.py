@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .blocks import ModelConfig, build_model
+from .blocks import ModelConfig, _check_regular, build_model
 from .errors import ConfigError, _check_seed
 from .tensor import Tensor, no_grad, softmax_cross_entropy
 
@@ -111,7 +111,7 @@ def _batched(n, batch_size):
         yield slice(start, min(start + batch_size, n))
 
 
-def sgd_step(params, velocity, lr, momentum, weight_decay):
+def sgd_step(params, velocity, lr):
     """One SGD-with-momentum update over (name, tensor, decay) triples.
 
     Weight decay is added to the gradient only where the decay flag is
@@ -121,9 +121,9 @@ def sgd_step(params, velocity, lr, momentum, weight_decay):
     """
     for (_, p, decay), v in zip(params, velocity):
         g = p.grad
-        if decay and weight_decay:
-            g = g + weight_decay * p.data
-        v *= momentum
+        if decay:
+            g = g + _WEIGHT_DECAY * p.data
+        v *= _MOMENTUM
         v += g
         p.data -= lr * v
 
@@ -215,7 +215,7 @@ def train(cfg, data):
                     blew_up = True
                     break
                 loss.backward()
-                sgd_step(params, velocity, lr, _MOMENTUM, _WEIGHT_DECAY)
+                sgd_step(params, velocity, lr)
                 loss_sum += value * len(idx)
                 seen += len(idx)
         if seen == 0 and not blew_up:
@@ -360,12 +360,14 @@ def _environment():
 def write_manifest(path, config_dict, artifact_paths, wall_clock=None):
     """Write a JSON run manifest: config echo, sha256 of each artifact and
     the ``environment`` block (Python, numpy and BLAS versions, BLAS
-    thread variables, CPU count)."""
+    thread variables, CPU count). An artifact that is not a regular file
+    raises OSError before it is read: a FIFO's read would block."""
     artifacts = {}
     for name, p in artifact_paths.items():
         digest, chunk = hashlib.sha256(), bytearray(1 << 18)
-        with open(p, "rb") as fh:  # in chunks: a checkpoint is never held whole
-            while n := fh.readinto(chunk):
+        with open(p, "rb", opener=lambda file, flags: os.open(file, flags | os.O_NONBLOCK)) as fh:
+            _check_regular(p, fh.fileno())
+            while n := fh.readinto(chunk):  # in chunks: a checkpoint is never held whole
                 digest.update(memoryview(chunk)[:n])
         artifacts[name] = {"path": str(p), "sha256": digest.hexdigest()}
     manifest = {"config": config_dict, "artifacts": artifacts, "environment": _environment()}

@@ -358,6 +358,32 @@ def test_gradnorm_of_a_fifo_checkpoint_exits_2_at_once(tmp_path):
     assert proc.stderr == f"error: {fifo}: not a regular file\n"
 
 
+FIFO_OUT_RUNS = {
+    "train": ["train", "--construction", "plain"] + TINY,
+    "matrix": ["matrix", "--construction", "plain", "--runs", "1"] + TINY,
+    "gradnorm": ["gradnorm", "--construction", "plain", "--samples", "8"] + TINY_NO_TRAIN,
+    "ratio-check": ["ratio-check", "--samples", "2"],
+    "gradcheck": ["gradcheck", "--samples", "1"],
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("command, fifo_name", [(c, "table.csv") for c in FIFO_OUT_RUNS]
+                         + [("ratio-check", "table.csv.manifest.json")],
+                         ids=[*FIFO_OUT_RUNS, "ratio-check-manifest"])
+def test_a_fifo_output_exits_2_at_once(tmp_path, command, fifo_name):
+    """A FIFO as --out, or at its manifest path, is refused before any
+    work; in a child process, so a write or read-back that blocks fails
+    instead of hanging."""
+    fifo = tmp_path / fifo_name
+    os.mkfifo(fifo)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "skipnorm.cli"] + FIFO_OUT_RUNS[command] + ["--out", str(tmp_path / "table.csv")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {fifo}: not a regular file\n"
+
+
 class TestOutputsCheckedBeforeTraining:
     """An --out or --checkpoint target of train or matrix that cannot be
     written exits 2 before any training, with the error line that writing

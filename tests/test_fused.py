@@ -556,10 +556,10 @@ class TestSgdInPlace:
         p = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         p.grad = rng.normal(size=(4, 3))
         v = rng.normal(size=(4, 3))
-        lr, momentum, decay = 0.02, 0.9, 2e-4
+        lr, momentum, decay = 0.02, 0.9, 2e-4  # the optimiser's fixed momentum and weight decay
         expected_v = momentum * v + (p.grad + decay * p.data)
         expected = p.data - lr * expected_v
         array = p.data
-        sgd_step([("w", p, True)], [v], lr, momentum, decay)
+        sgd_step([("w", p, True)], [v], lr)
         assert p.data is array
         assert bits(p.data) == bits(expected) and bits(v) == bits(expected_v)

@@ -1,0 +1,27 @@
+"""The bit-identity ledger: the bytes of small CLI runs and checkpoints.
+
+Where this environment's fingerprint has an entry in ``ledger.json``,
+every output must hash to its recorded SHA-256. Elsewhere each case is
+skipped with the digest it computed, so ``pytest -rs`` shows what a new
+entry would hold. ``ledger_digests.py`` regenerates the ledger.
+"""
+
+import pytest
+
+import ledger_digests
+
+FINGERPRINT = ledger_digests.fingerprint()
+RECORDED = next((e["digests"] for e in ledger_digests.load_ledger() if e["fingerprint"] == FINGERPRINT), None)
+
+
+def test_the_ledger_names_every_output_once():
+    for entry in ledger_digests.load_ledger():
+        assert sorted(entry["digests"]) == sorted(ledger_digests.NAMES)
+
+
+@pytest.mark.parametrize("name", ledger_digests.NAMES)
+def test_output_bytes_match_the_ledger(name):
+    got = ledger_digests.digest(name)
+    if RECORDED is None:
+        pytest.skip(f"no ledger entry for {FINGERPRINT}; {name} sha256 {got}")
+    assert got == RECORDED[name]

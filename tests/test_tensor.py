@@ -364,11 +364,6 @@ class TestGradcheck:
         assert report.per_input[0] < 1e-6 and np.isnan(report.per_input[1])
         assert np.isnan(report.max_rel_err) and not report.passed
 
-    @pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf"), float("-inf")])
-    def test_meaningless_eps_rejected(self, eps):
-        with pytest.raises(ContractError, match="eps"):
-            gradcheck(tsum, [leaf([1.0, 2.0])], eps=eps)
-
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_meaningless_tol_rejected(self, tol):
         with pytest.raises(ContractError, match="tol"):
@@ -383,9 +378,8 @@ class TestGradcheck:
         rows=st.integers(1, 4),
         cols=st.integers(1, 5),
         seed=st.integers(0, 2**16),
-        eps=st.sampled_from([1e-3, 1e-5, 1e-7]),
     )
-    def test_errors_equal_the_scalar_loop(self, op, rows, cols, seed, eps):
+    def test_errors_equal_the_scalar_loop(self, op, rows, cols, seed):
         rng = np.random.default_rng(seed)
         a, b = leaf(rng.normal(size=(rows, cols))), leaf(rng.normal(size=(rows, cols)))
         v, w = leaf(rng.normal(size=cols)), leaf(rng.normal(size=(cols, 2)))
@@ -399,8 +393,8 @@ class TestGradcheck:
             "relu": (lambda p: tsum(relu(p)), [a]),
             "xent": (lambda p: softmax_cross_entropy(p, labels), [a]),
         }[op]
-        report = gradcheck(f, inputs, eps=eps)
-        per_input = scalar_gradcheck_errors(f, inputs, eps)
+        report = gradcheck(f, inputs)
+        per_input = scalar_gradcheck_errors(f, inputs)
         assert report.per_input == per_input
         assert report.max_rel_err == max(per_input)
 
@@ -425,10 +419,11 @@ def _with_grad(rule):
     return f
 
 
-def scalar_gradcheck_errors(f, inputs, eps):
+def scalar_gradcheck_errors(f, inputs):
     """gradcheck's per-input worst relative error, one coordinate at a
     time in Python floats, as it was computed before the differences
     became arrays."""
+    eps = 1e-5  # gradcheck's step
     for t in inputs:
         t.zero_grad()
     f(*inputs).backward()
@@ -475,7 +470,9 @@ def _frozen_input_cases():
         "matmul": ([row, ("d", "n")], lambda t, _: matmul(*t)),
         "relu": ([row], lambda t, _: relu(t[0])),
         "sum": ([row], lambda t, _: tsum(t[0])),
-        "softmax_cross_entropy": ([row], lambda t, _: softmax_cross_entropy(t[0], np.arange(t[0].shape[0]) % t[0].shape[1])),
+        "softmax_cross_entropy": (
+            [row], lambda t, _: softmax_cross_entropy(t[0], np.arange(t[0].data.shape[0]) % t[0].data.shape[1])
+        ),
         "layer_norm": ([row, vec, vec], lambda t, s: layer_norm(t[0], _norm_params("ln", t[1], t[2], s))),
     }
     for mode in ("bn-training", "bn-inference"):
@@ -529,7 +526,7 @@ class TestFrozenInputs:
             out = f(inputs, stats)
             if out.requires_grad:
                 seed_grad = None if out.data.ndim == 0 else np.asarray(
-                    np.random.default_rng(seed + 1).normal(size=out.shape), order=order
+                    np.random.default_rng(seed + 1).normal(size=out.data.shape), order=order
                 )
                 out.backward(seed_grad)
             return out, inputs

@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,8 +101,8 @@ class TestSgdStep:
         for _, p, _ in params:
             p.grad = np.zeros(4)  # frozen-gradient probe isolates the decay term
         velocity = [np.zeros(4), np.zeros(4)]
-        sgd_step(params, velocity, lr=0.5, momentum=0.0, weight_decay=0.1)
-        np.testing.assert_allclose(decayed.data, 1.0 - 0.5 * 0.1 * 1.0)
+        sgd_step(params, velocity, lr=0.5)  # weight decay 2e-4
+        np.testing.assert_allclose(decayed.data, 1.0 - 0.5 * 2e-4 * 1.0)
         np.testing.assert_array_equal(frozen.data, np.ones(4))
 
     def test_momentum_accumulates_in_velocity(self):
@@ -108,11 +112,11 @@ class TestSgdStep:
         params = [("w", p, False)]
         velocity = [np.zeros(2)]
         p.grad = np.array([1.0, 2.0])
-        sgd_step(params, velocity, lr=1.0, momentum=0.5, weight_decay=0.0)
+        sgd_step(params, velocity, lr=1.0)
         p.grad = np.array([1.0, 2.0])
-        sgd_step(params, velocity, lr=1.0, momentum=0.5, weight_decay=0.0)
-        np.testing.assert_allclose(velocity[0], [1.5, 3.0])
-        np.testing.assert_allclose(p.data, [-2.5, -5.0])
+        sgd_step(params, velocity, lr=1.0)  # momentum 0.9
+        np.testing.assert_allclose(velocity[0], [1.9, 3.8])
+        np.testing.assert_allclose(p.data, [-2.9, -5.8])
 
 
 class TestTrain:
@@ -386,6 +390,26 @@ class TestManifestDigests:
         write_manifest(tmp_path / "run.manifest.json", {"command": "test"}, {"checkpoint": tmp_path / "model.bin"})
         artifacts = json.loads((tmp_path / "run.manifest.json").read_text())["artifacts"]
         assert artifacts["checkpoint"]["sha256"] == hashlib.sha256(blob).hexdigest()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_fifo_artifact_is_refused_at_once(self, tmp_path):
+        """In a child process with a timeout, so a hash read that blocks
+        fails the test instead of hanging the suite."""
+        fifo = tmp_path / "table.csv"
+        os.mkfifo(fifo)
+        code = (
+            "import sys\n"
+            "from skipnorm import write_manifest\n"
+            "try:\n"
+            "    write_manifest(sys.argv[1] + '.manifest.json', {}, {'csv': sys.argv[1]})\n"
+            "except OSError as exc:\n"
+            "    sys.exit(f'refused: {exc}')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code, str(fifo)], env=env, capture_output=True, text=True,
+                              timeout=30)
+        assert proc.returncode == 1 and proc.stderr == f"refused: {fifo}: not a regular file\n"
+        assert not (tmp_path / "table.csv.manifest.json").exists()
 
     def test_hashing_never_holds_an_artifact_whole(self, tmp_path):
         size = 8 << 20
