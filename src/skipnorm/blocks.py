@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_seed
-from .normalization import BatchNormParams, LayerNormParams, combine_norm
+from .normalization import BatchNormParams, LayerNormParams, _combine_norm, combine_norm
 from .ratio import RatioWitness, ratio_general
 from .tensor import Tensor, _records, add, matmul, no_grad, relu
 
@@ -309,7 +309,11 @@ class ResidualBlock:
         f = self.branch(x)
         if self._sum:
             return add(x, f)
-        return combine_norm(x, f, self._a, self._c, self.norms)
+        # the built-in branch returns a fresh buffer that its backward never
+        # reads, so the combination may overwrite it; any other callable's
+        # output, a subclass's included, is left as it is
+        owned = type(self.branch).__call__ is AffineReluBranch.__call__
+        return _combine_norm(x, f, self._a, self._c, self.norms, None, owned)
 
     __call__ = forward
 

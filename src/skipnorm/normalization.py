@@ -234,8 +234,18 @@ def combine_norm(x, y, a=1.0, c=1.0, norms=(), stats_out=None):
     the norm's backward closure over (xhat, sigma): a level's input is
     summed into the previous level's output buffer, and its input
     gradient goes straight to the level below, never into a ``.grad``.
-    A call that records no tape keeps nothing.
+    A call that records no tape keeps nothing. ``x`` and ``y`` are read,
+    never written; only a residual block, through a private entry, hands
+    over its built-in branch's output buffer, which this node then reuses
+    for the first level's a*x + c*y instead of allocating beside it.
     """
+    return _combine_norm(x, y, a, c, norms, stats_out, False)
+
+
+def _combine_norm(x, y, a, c, norms, stats_out, owned):
+    """:func:`combine_norm`; ``owned`` says that y's buffer is private to
+    the call: no one reads it again, the node's backward included, so the
+    first level writes into it."""
     if x.data.shape != y.data.shape:
         raise DimensionError(f"combine_norm: shapes {x.data.shape} and {y.data.shape} differ")
     for p in norms:
@@ -260,13 +270,14 @@ def combine_norm(x, y, a=1.0, c=1.0, norms=(), stats_out=None):
     backwards = []  # each level's norm backward, innermost first, if the call records
     z = y.data  # from level 2 on, the previous level's output: a private buffer
     for k in range(levels):
+        private = k or owned
         if c != 1.0:
-            z = np.multiply(z, c, out=z if k else None)
+            z = np.multiply(z, c, out=z if private else None)
+            private = True
         # a*x + c*y_{k-1}, the operands in the order the composed ops take
         # them, into z if it is private, else into a*x unless a later level
         # reads it again
         first, second = (z, ax) if ax is x.data and c != 1.0 else (ax, z)
-        private = k or c != 1.0
         z = np.add(first, second, out=z if private else ax if levels == 1 and ax is not x.data else None)
         if not norms:
             break

@@ -50,7 +50,7 @@ class RatioWitness:
         if not (len(self.mus) == len(self.gains) == len(self.biases) == n):
             raise ContractError("witness level lists must have equal length")
         for s in self.sigmas:
-            if np.any(s <= 0):
+            if not np.all(s > 0):  # a NaN sigma fails too
                 raise ContractError("witness sigma must be strictly positive")
 
     @property

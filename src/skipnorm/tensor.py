@@ -287,6 +287,8 @@ def softmax_cross_entropy(logits, labels):
         raise DimensionError("softmax_cross_entropy needs at least one row")
     if labels.shape != (batch,):
         raise DimensionError(f"labels must have shape ({batch},), got {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= classes:
         raise IndexError(f"label out of range [0, {classes})")
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .blocks import ModelConfig, _check_regular, build_model
-from .errors import ConfigError, _check_seed
+from .errors import ConfigError, ContractError, DimensionError, _check_seed
 from .tensor import Tensor, no_grad, softmax_cross_entropy
 
 __all__ = [
@@ -131,6 +131,15 @@ def sgd_step(params, velocity, lr):
 _EVAL_BATCH = 256
 
 
+def _check_labeled(x, y):
+    """Refuse an evaluation set with no rows, or with a label count
+    other than its row count, before any forward."""
+    if len(x) == 0:
+        raise ContractError("evaluation needs at least one row")
+    if len(y) != len(x):
+        raise DimensionError(f"{len(y)} labels for {len(x)} rows")
+
+
 def _eval_logits(model, x):
     """(slice, logits) for each batch of x, batch norms in inference
     mode, evaluated without a tape."""
@@ -163,14 +172,17 @@ def evaluate_loss(model, x, y):
     mode, evaluated without a tape.
 
     A diverging model evaluates to inf rather than warning; the curves
-    carry such entries as data.
+    carry such entries as data. A set with no rows raises ContractError,
+    and a label count other than the row count DimensionError.
     """
+    _check_labeled(x, y)
     return _mean_loss(_eval_logits(model, x), y)
 
 
 def evaluate_error(model, x, y):
     """Top-1 classification error rate, batch norms in inference mode,
-    evaluated without a tape."""
+    evaluated without a tape; refuses the sets :func:`evaluate_loss` does."""
+    _check_labeled(x, y)
     return _error_rate(_eval_logits(model, x), y)
 
 
@@ -181,7 +193,8 @@ def train(cfg, data):
     projection affines), never normalization gains/biases or w_skip. A
     non-finite training loss ends the run: parameters roll back to the
     start of the offending epoch, the epoch is recorded, the error rate
-    is pinned to 1.0, and the remaining curve entries are inf.
+    is pinned to 1.0, and the remaining curve entries are inf. Either
+    way the model is returned without gradients: every ``.grad`` is None.
     """
     t0 = time.perf_counter()
     model_cfg = ModelConfig(cfg.construction, cfg.depth, data.d_in, cfg.width, cfg.hidden, data.classes)
@@ -233,6 +246,7 @@ def train(cfg, data):
         train_curve.append(loss_sum / seen)
         logits = _eval_logits(model, data.x_test)
         val_curve.append(_mean_loss(logits, data.y_test))
+    model.zero_grad()  # the last step's gradients, stale on the updated parameters
 
     diverged = diverged_epoch is not None
     if diverged:

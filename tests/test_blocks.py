@@ -204,6 +204,76 @@ class TestBlockEquivalences:
         np.testing.assert_allclose(block.forward(x).data, base, atol=1e-10)
 
 
+class RecordingBranch(AffineReluBranch):
+    """The built-in branch under a subclass that overrides ``__call__``,
+    keeping each output it returns and a copy of that output's values."""
+
+    def __init__(self, branch):
+        super().__init__(branch.w1, branch.b1, branch.w2, branch.b2)
+        self.outputs = []
+
+    def __call__(self, x):
+        out = super().__call__(x)
+        self.outputs.append((out, out.data.copy()))
+        return out
+
+
+HANDOVER_KINDS = ("2xskip", "2xskip-ln", "3rskip-ln", "wskip-ln", "2xskip-bn", "2rskip-bn", "contracted-f-ln:2.5")
+
+
+class TestBranchBufferHandover:
+    """A block's combination may write into the built-in branch's output
+    buffer, which nothing else reads; no other output is ever written."""
+
+    @pytest.mark.parametrize("token", HANDOVER_KINDS)
+    def test_a_custom_branch_output_is_left_intact_and_values_are_unchanged(self, token):
+        block = moved_model(token, 1, 6, 5).blocks[0]
+        x = leaf(np.random.default_rng(2).normal(size=(5, 6)))
+        weights = Tensor(np.random.default_rng(3).normal(size=(5, 6)))
+        before = block.branch(x).data.copy()
+        fused_out = block.forward(x).data.copy()
+        fused_grads = grads_of(block, x, weights)
+        np.testing.assert_array_equal(block.branch(x).data, before)
+
+        block.branch = RecordingBranch(block.branch)
+        assert block.forward(x).data.tobytes() == fused_out.tobytes()
+        for got, want in zip(grads_of(block, x, weights), fused_grads):
+            assert got.tobytes() == want.tobytes()
+        assert len(block.branch.outputs) == 2
+        for out, values in block.branch.outputs:
+            assert out.data.tobytes() == values.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("token", ["1xskip-ln", "3rskip-ln"])
+    def test_the_witness_returns_the_branch_value_bit_for_bit(self, token):
+        block = moved_model(token, 1, 6, 5).blocks[0]
+        x = leaf(np.random.default_rng(4).normal(size=(5, 6)))
+        y, f, _ = block.witness(x)
+        assert f.data.tobytes() == block.branch(x).data.tobytes()
+        assert y.data.tobytes() == block.forward(x).data.tobytes()
+
+    def test_the_tape_keeps_six_row_by_width_arrays_per_block(self):
+        """Of a recorded 4rSkip+LN block at 256x64 the tape keeps the branch's
+        hidden activation, each level's standardized input and the block
+        output: the branch output's buffer holds the first level's. The
+        slack covers each level's per-row sigma and the node objects."""
+        rows, width, depth = 256, 64, 3
+        model = build_model(
+            ModelConfig(SkipConstruction(SkipKind.RSKIP_LN, lam=4), depth, width, width, width, 3), seed=0
+        )
+        x = Tensor(np.random.default_rng(0).normal(size=(rows, width)), requires_grad=True)
+        array = rows * width * 8
+        tracemalloc.start()
+        try:
+            h = x
+            for block in model.blocks:
+                h = block.forward(h)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert h.requires_grad
+        assert kept <= depth * (6 * array + array // 4)
+
+
 class TestParameterOwnership:
     def test_scaled_ln_parameter_count_is_lambda_independent(self):
         two = fresh_block(SkipKind.XSKIP_LN, lam=2.0)

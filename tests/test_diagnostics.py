@@ -345,6 +345,13 @@ class TestEffectiveScaleSweep:
         with pytest.raises(ContractError):
             effective_scale_sweep(model, [])
 
+    def test_a_nan_batch_is_refused_rather_than_reported(self):
+        model = toy_model(SkipKind.RSKIP_LN, lam=2, depth=2)
+        batch = np.random.default_rng(0).normal(size=(4, 2))
+        batch[1, 0] = np.nan
+        with pytest.raises(ContractError, match="sigma must be strictly positive"):
+            effective_scale_sweep(model, [batch])
+
 
 def two_pass_scale_sweep(model, batches):
     """The effective-scale sweep as two passes per batch: a full model

@@ -293,6 +293,17 @@ class TestShapeErrors:
         with pytest.raises(DimensionError):
             softmax_cross_entropy(leaf(np.zeros((2, 3))), np.array([0, 1, 2]))
 
+    @pytest.mark.parametrize(
+        "labels", [np.array([0.0, 1.0]), np.array(["0", "1"]), np.array([False, True])], ids=["float", "str", "bool"]
+    )
+    def test_labels_that_are_not_integers_are_a_contract_error(self, labels):
+        with pytest.raises(ContractError, match="labels must be integers"):
+            softmax_cross_entropy(leaf(np.zeros((2, 3))), labels)
+
+    def test_unsigned_labels_are_accepted(self):
+        loss = softmax_cross_entropy(leaf(np.zeros((2, 3))), np.array([0, 2], dtype=np.uint8))
+        assert float(loss.data) == pytest.approx(np.log(3.0))
+
     def test_cross_entropy_of_no_rows(self):
         with pytest.raises(DimensionError, match="at least one row"):
             softmax_cross_entropy(leaf(np.zeros((0, 3))), np.zeros(0, dtype=int))

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from skipnorm import (
     ConfigError,
+    ContractError,
     Dataset,
     DatasetSpec,
+    DimensionError,
     ModelConfig,
     SkipConstruction,
     SkipKind,
@@ -133,6 +135,7 @@ class TestTrain:
         data = tiny_data()
         result, model = train(tiny_cfg(construction), data)
         assert not result.diverged
+        assert [name for name, p, _ in model.parameters() if p.grad is not None] == []
         assert result.val_loss[-1] == evaluate_loss(model, data.x_test, data.y_test)
         assert result.error_rate == evaluate_error(model, data.x_test, data.y_test)
 
@@ -366,6 +369,28 @@ class TestUpdateDivergence:
         assert result.train_loss == result.val_loss == (float("inf"),) * 3
         for (name, p, _), (_, q, _) in zip(model.parameters(), fresh.parameters()):
             assert p.data.tobytes() == q.data.tobytes(), name
+            assert p.grad is None, name  # the step's gradients existed when the update overflowed
+
+
+def refusing_forward(*args, **kwargs):
+    raise AssertionError("the set should be refused before any forward")
+
+
+class TestEvaluationInputs:
+    @pytest.mark.parametrize("evaluate", [evaluate_loss, evaluate_error])
+    def test_a_set_without_rows_is_a_contract_error(self, evaluate):
+        model = build_model(ModelConfig(PLAIN, 2, 2, 4, 4, 3), seed=0)
+        model.forward = refusing_forward
+        with pytest.raises(ContractError, match="at least one row"):
+            evaluate(model, np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("evaluate", [evaluate_loss, evaluate_error])
+    @pytest.mark.parametrize("labels", [2, 4])
+    def test_a_label_count_other_than_the_row_count_is_a_dimension_error(self, evaluate, labels):
+        model = build_model(ModelConfig(PLAIN, 2, 2, 4, 4, 3), seed=0)
+        model.forward = refusing_forward
+        with pytest.raises(DimensionError, match=f"{labels} labels for 3 rows"):
+            evaluate(model, np.zeros((3, 2)), np.zeros(labels, dtype=int))
 
 
 class TestManifestDigests:
