@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_seed
+from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_doubles, _check_seed
 from .normalization import BatchNormParams, LayerNormParams, _combine_norm, combine_norm
-from .ratio import RatioWitness, ratio_general
+from .ratio import RatioWitness, _mean_ratio
 from .tensor import Tensor, _records, add, matmul, no_grad, relu
 
 __all__ = [
@@ -357,12 +357,13 @@ def effective_scale(block, x):
     With one level the ratio is mean(a)/c whatever the input: lambda for
     xSkip+LN, the mean skip gain for wSkip+LN, 1/c for LN(x+cF). With
     more levels it is the closed-form ratio evaluated on the captured
-    witness, averaged over rows and features.
+    witness, averaged over rows and features (by its separable form, see
+    ``skipnorm.ratio``).
     """
     scale = _input_free_scale(block)
     if scale is None:
         _, _, wit = block.witness(x)
-        scale = float(ratio_general(wit).mean())
+        scale = _mean_ratio(wit)
     return scale
 
 
@@ -393,6 +394,7 @@ class ModelConfig:
         for name in ("d_in", "width", "hidden", "classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        _check_doubles(_param_count(self), "the model")
 
 
 class ResidualModel:
@@ -452,6 +454,7 @@ class ResidualModel:
 def build_block(construction, width, hidden, rng):
     """One freshly initialized block: branch draws from rng, norm gains
     and w_skip start at 1 and biases at 0."""
+    _check_doubles(_block_param_count(construction, width, hidden), "the block")
     branch = AffineReluBranch.init(width, hidden, rng)
     w_skip = None
     if construction._lowered.a == "w":
@@ -493,10 +496,15 @@ _CODE_KINDS = {i: k for k, i in _KIND_CODES.items()}
 _HEADER = struct.Struct("<4sII d d IIIII Q")
 
 
+def _block_param_count(c, w, h):
+    """Doubles in the parameters of one block: branch, norms, w_skip."""
+    return 2 * w * h + h + w + 2 * w * c.levels + (w if c._lowered.a == "w" else 0)
+
+
 def _param_count(cfg):
     """Doubles in the parameters of a model of this geometry."""
-    c, w, h = cfg.construction, cfg.width, cfg.hidden
-    per_block = 2 * w * h + h + w + 2 * w * c.levels + (w if c._lowered.a == "w" else 0)
+    w = cfg.width
+    per_block = _block_param_count(cfg.construction, w, cfg.hidden)
     return cfg.d_in * w + w + cfg.depth * per_block + w * cfg.classes + cfg.classes
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, _check_seed
+from .errors import ConfigError, FormatError, _check_doubles, _check_seed
 
 __all__ = ["DatasetSpec", "Dataset", "gen_synthetic", "load_cifar10"]
 
@@ -46,6 +46,8 @@ class DatasetSpec:
             raise ConfigError(f"{self.classes} classes need at least as many train and test samples")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError(f"noise level must be finite and non-negative, got {self.noise}")
+        # each row is two float64 features and an int64 label
+        _check_doubles(3 * (self.n_train + self.n_test), "the dataset")
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 from .blocks import SkipConstruction, SkipKind, _input_free_scale, build_block
 from .errors import ContractError, _check_seed
 from .normalization import BatchNormParams, LayerNormParams, batch_norm, layer_norm
-from .ratio import ratio_general, unroll_decompose
+from .ratio import _mean_ratio, ratio_general, unroll_decompose
 from .tensor import (
     Tensor,
     _check_matmul_shapes,
@@ -187,7 +187,7 @@ def _witness_scales(model, x, fixed):
         for block, scale in zip(model.blocks, fixed):
             if scale is None:
                 h, _, witness = block.witness(h)
-                scale = float(ratio_general(witness).mean())
+                scale = _mean_ratio(witness)
             else:
                 h = block.forward(h)
             scales.append(scale)

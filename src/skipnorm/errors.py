@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the seed check."""
+"""Exception types shared across the library, and the seed and size checks."""
 
 import numbers
 
@@ -30,3 +30,16 @@ def _check_seed(seed):
     ``np.random.default_rng`` requires; run it before any random draw."""
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+# the most float64 values one model's parameters, one block's parameters or
+# one synthetic dataset may hold: 2**24 doubles, 128 MiB, about 130 times
+# the 1.3e5 of a depth-16, width-64 benchmark model
+MAX_DOUBLES = 1 << 24
+
+
+def _check_doubles(count, what):
+    """Raise ConfigError when ``what`` would hold more than MAX_DOUBLES
+    float64 values; run it on a closed-form count, before allocating."""
+    if count > MAX_DOUBLES:
+        raise ConfigError(f"{what} would hold {count:.3g} doubles, more than the {MAX_DOUBLES} allowed")

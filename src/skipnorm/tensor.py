@@ -272,6 +272,14 @@ def tsum(a):
     return Tensor(a.data.sum(), a.requires_grad, (a,), "sum", backward)
 
 
+def _check_labels(labels, classes):
+    """Refuse a nonempty label array unless it holds integers in [0, classes)."""
+    if labels.dtype.kind not in "iu":
+        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= classes:
+        raise IndexError(f"label out of range [0, {classes})")
+
+
 def softmax_cross_entropy(logits, labels):
     """Mean negative log-likelihood of integer class labels.
 
@@ -287,10 +295,7 @@ def softmax_cross_entropy(logits, labels):
         raise DimensionError("softmax_cross_entropy needs at least one row")
     if labels.shape != (batch,):
         raise DimensionError(f"labels must have shape ({batch},), got {labels.shape}")
-    if labels.dtype.kind not in "iu":
-        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.min() < 0 or labels.max() >= classes:
-        raise IndexError(f"label out of range [0, {classes})")
+    _check_labels(labels, classes)
 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))

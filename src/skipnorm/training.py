@@ -19,7 +19,7 @@ import numpy as np
 
 from .blocks import ModelConfig, _check_regular, build_model
 from .errors import ConfigError, ContractError, DimensionError, _check_seed
-from .tensor import Tensor, no_grad, softmax_cross_entropy
+from .tensor import Tensor, _check_labels, no_grad, softmax_cross_entropy
 
 __all__ = [
     "TrainConfig",
@@ -131,13 +131,19 @@ def sgd_step(params, velocity, lr):
 _EVAL_BATCH = 256
 
 
-def _check_labeled(x, y):
-    """Refuse an evaluation set with no rows, or with a label count
-    other than its row count, before any forward."""
+def _check_labeled(model, x, y):
+    """Refuse, before any forward, an evaluation set with no rows, labels
+    that are not one per row, or labels that are not integers in
+    [0, classes) for the model's output width, the last two as
+    softmax_cross_entropy does."""
     if len(x) == 0:
         raise ContractError("evaluation needs at least one row")
+    y = np.asarray(y)
     if len(y) != len(x):
         raise DimensionError(f"{len(y)} labels for {len(x)} rows")
+    if y.ndim != 1:
+        raise DimensionError(f"labels must have shape ({len(x)},), got {y.shape}")
+    _check_labels(y, model.out_w.data.shape[1])
 
 
 def _eval_logits(model, x):
@@ -173,16 +179,17 @@ def evaluate_loss(model, x, y):
 
     A diverging model evaluates to inf rather than warning; the curves
     carry such entries as data. A set with no rows raises ContractError,
-    and a label count other than the row count DimensionError.
+    a label count other than the row count DimensionError, non-integer
+    labels ContractError and labels outside [0, classes) IndexError.
     """
-    _check_labeled(x, y)
+    _check_labeled(model, x, y)
     return _mean_loss(_eval_logits(model, x), y)
 
 
 def evaluate_error(model, x, y):
     """Top-1 classification error rate, batch norms in inference mode,
     evaluated without a tape; refuses the sets :func:`evaluate_loss` does."""
-    _check_labeled(x, y)
+    _check_labeled(model, x, y)
     return _error_rate(_eval_logits(model, x), y)
 
 

@@ -1,8 +1,10 @@
 """The outputs the bit-identity ledger pins, and the script that records them.
 
 Each output is a byte string the library produces at a tiny size: the
-CSV of a CLI run (captured from stdout, in process) or the ``save_model``
-bytes of a depth-2 preset, a batch-norm preset once per mode. Float64
+CSV of a CLI run (captured from stdout, in process), the ``save_model``
+bytes of a depth-2 preset, a batch-norm preset once per mode, or the
+stdout of a demo script (run as a child process; ``tests/test_demos.py``
+compares it from the run that checks the demo exits cleanly). Float64
 results depend on the BLAS kernel and the SIMD loops chosen at run time,
 so ``tests/ledger.json`` keys each set of digests by an environment
 fingerprint; ``tests/test_ledger.py`` compares bit for bit only where the
@@ -24,6 +26,7 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -33,6 +36,8 @@ import numpy as np
 from skipnorm import ModelConfig, SkipConstruction, build_model, cli, save_model
 
 LEDGER = Path(__file__).resolve().parent / "ledger.json"
+ROOT = LEDGER.parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 _TINY = ["--depth", "2", "--width", "8", "--hidden", "8", "--train-n", "48", "--test-n", "48", "--seed", "2"]
 _TRAIN = _TINY + ["--epochs", "2", "--batch-size", "16", "--lr", "0.05"]
@@ -60,7 +65,14 @@ def _checkpoint_names():
 
 
 CHECKPOINTS = {name: (token, mode) for name, token, mode in _checkpoint_names()}
-NAMES = [*CLI_RUNS, *CHECKPOINTS]
+NAMES = [*CLI_RUNS, *CHECKPOINTS]  # the outputs tests/test_ledger.py computes
+
+
+def demo_name(path):
+    return f"demo/{path.stem}"
+
+
+DEMO_NAMES = {demo_name(path): path for path in DEMOS}
 
 
 def _cli_bytes(argv):
@@ -85,13 +97,32 @@ def _checkpoint_bytes(token, mode):
         return Path(path).read_bytes()
 
 
+def run_demo(path, cwd):
+    """The finished child process of one demo script run against the
+    source tree from ``cwd``, its stdout and stderr as bytes."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(path)], cwd=cwd, env=env, capture_output=True, timeout=120)
+
+
+def _demo_bytes(path):
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = run_demo(path, tmp)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{path.name} exited {proc.returncode}")
+    return proc.stdout
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def digest(name):
     """SHA-256 hex digest of the named output."""
     if name in CLI_RUNS:
-        data = _cli_bytes(CLI_RUNS[name])
-    else:
-        data = _checkpoint_bytes(*CHECKPOINTS[name])
-    return hashlib.sha256(data).hexdigest()
+        return sha256(_cli_bytes(CLI_RUNS[name]))
+    if name in DEMO_NAMES:
+        return sha256(_demo_bytes(DEMO_NAMES[name]))
+    return sha256(_checkpoint_bytes(*CHECKPOINTS[name]))
 
 
 def _openblas_core():
@@ -134,12 +165,19 @@ def load_ledger():
     return json.loads(LEDGER.read_text()) if LEDGER.exists() else []
 
 
+def recorded():
+    """The digests recorded for this environment's fingerprint, or None."""
+    here = fingerprint()
+    return next((e["digests"] for e in load_ledger() if e["fingerprint"] == here), None)
+
+
 def main():
     here = fingerprint()
     entries = [e for e in load_ledger() if e["fingerprint"] != here]
-    entries.append({"fingerprint": here, "digests": {name: digest(name) for name in NAMES}})
+    names = [*NAMES, *DEMO_NAMES]
+    entries.append({"fingerprint": here, "digests": {name: digest(name) for name in names}})
     LEDGER.write_text(json.dumps(entries, indent=2) + "\n")
-    print(f"{LEDGER}: {len(NAMES)} digests for {here}", file=sys.stderr)
+    print(f"{LEDGER}: {len(names)} digests for {here}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -36,7 +36,8 @@ from skipnorm import (
     save_model,
     tsum,
 )
-from skipnorm import blocks
+from skipnorm import blocks, errors
+from skipnorm.errors import MAX_DOUBLES
 from skipnorm.tensor import add
 
 
@@ -406,6 +407,47 @@ class TestModel:
             lambda *_: softmax_cross_entropy(model.forward(x), labels), params, tol=1e-4
         )
         assert report.passed, report
+
+
+class TestSizeLimit:
+    def test_the_benchmark_model_is_far_below_the_limit(self):
+        cfg = ModelConfig(SkipConstruction.parse("4rskip-ln"), depth=16, d_in=2, width=64, hidden=64, classes=3)
+        assert 100 * blocks._param_count(cfg) < MAX_DOUBLES
+
+    @pytest.mark.parametrize("token", ["plain", "wskip-ln", "3rskip-ln", "2rskip-bn"])
+    def test_a_model_of_more_than_max_doubles_is_refused(self, token):
+        construction = SkipConstruction.parse(token)
+        per_block = blocks._block_param_count(construction, 16, 9)
+        projections = blocks._param_count(ModelConfig(construction, 1, 5, 16, 9, 3)) - per_block
+        depth = (MAX_DOUBLES - projections) // per_block
+        assert blocks._param_count(ModelConfig(construction, depth, 5, 16, 9, 3)) <= MAX_DOUBLES
+        with pytest.raises(ConfigError, match=f"more than the {MAX_DOUBLES} allowed"):
+            ModelConfig(construction, depth + 1, 5, 16, 9, 3)
+
+    @pytest.mark.parametrize("geometry", [(10**8, 1, 1), (1, 10**8, 1), (1, 1, 10**8), (3, 10**5, 10**5)],
+                             ids=["depth", "width", "hidden", "width-and-hidden"])
+    def test_each_oversize_dimension_is_refused(self, geometry):
+        depth, width, hidden = geometry
+        with pytest.raises(ConfigError, match="the model would hold"):
+            ModelConfig(SkipConstruction.parse("2xskip-ln"), depth, 2, width, hidden, 3)
+
+    @pytest.mark.parametrize("token, width, hidden", [("100000000rskip-ln", 8, 8), ("plain", 10**8, 8),
+                                                      ("rskip-bn", 8, 10**8)])
+    def test_an_oversize_block_is_refused_before_any_draw(self, token, width, hidden):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="the block would hold"):
+            build_block(SkipConstruction.parse(token), width, hidden, rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("token", ["plain", "wskip-ln", "3rskip-ln"])
+    def test_a_block_of_exactly_the_limit_is_built(self, token, monkeypatch):
+        construction = SkipConstruction.parse(token)
+        monkeypatch.setattr(errors, "MAX_DOUBLES", blocks._block_param_count(construction, 4, 3))
+        block = build_block(construction, 4, 3, np.random.default_rng(0))
+        assert sum(p.data.size for _, p, _ in block.parameters()) == errors.MAX_DOUBLES
+        with pytest.raises(ConfigError):
+            build_block(construction, 4, 4, np.random.default_rng(0))
 
 
 class TestEffectiveScale:

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skipnorm import ModelConfig, SkipConstruction, SkipKind, build_model, cli, load_model, read_csv_rows, save_model
+from skipnorm.errors import MAX_DOUBLES
 
 TINY = [
     "--depth", "2", "--width", "8", "--hidden", "8",
@@ -382,6 +383,38 @@ def test_a_fifo_output_exits_2_at_once(tmp_path, command, fifo_name):
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {fifo}: not a regular file\n"
+
+
+def _address_space_cap():
+    """In the child, before exec: cap its address space at 1.5 GB, so an
+    allocation the size check misses fails fast instead of filling memory."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+
+OVERSIZE_RUNS = {
+    "depth": ["gradnorm", "--depth", "100000000", "--samples", "1"],
+    "width": ["gradnorm", "--width", "100000000", "--samples", "1"],
+    "hidden": ["train", "--hidden", "100000000", "--epochs", "1"],
+    "levels": ["gradnorm", "--construction", "100000000rskip-ln", "--samples", "1"],
+    "train-n": ["gradnorm", "--train-n", "100000000000", "--samples", "1"],
+    "test-n": ["matrix", "--test-n", "100000000000", "--runs", "1"],
+    "ratio-check-levels": ["ratio-check", "--lambda", "100000000", "--samples", "1"],
+    "ratio-check-width": ["ratio-check", "--width", "100000000", "--samples", "1"],
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="caps the child's address space before exec")
+@pytest.mark.parametrize("argv", OVERSIZE_RUNS.values(), ids=OVERSIZE_RUNS)
+def test_an_oversize_allocation_exits_2_before_it_is_made(argv):
+    # a child process with a capped address space and a timeout, so a
+    # missed check fails on its MemoryError or its time instead of the host's
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "skipnorm.cli"] + argv, env=env, capture_output=True, text=True,
+                          timeout=30, preexec_fn=_address_space_cap)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and f"more than the {MAX_DOUBLES} allowed" in proc.stderr
 
 
 class TestOutputsCheckedBeforeTraining:

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skipnorm import ConfigError, DatasetSpec, FormatError, gen_synthetic, load_cifar10
+from skipnorm.errors import MAX_DOUBLES
 
 RECORD = 3073
 
@@ -58,6 +59,14 @@ class TestSpecValidation:
     def test_negative_noise_rejected(self):
         with pytest.raises(ConfigError):
             DatasetSpec("spiral", noise=-0.1)
+
+    def test_a_dataset_of_more_than_max_doubles_is_refused(self):
+        # three doubles a row: two features and a label
+        fits = MAX_DOUBLES // 3
+        assert DatasetSpec("spiral", n_train=fits - 3, n_test=3).n_train == fits - 3
+        for n_train, n_test in ((fits - 2, 3), (3, fits - 2), (10**11, 512)):
+            with pytest.raises(ConfigError, match=f"more than the {MAX_DOUBLES} allowed"):
+                DatasetSpec("spiral", n_train=n_train, n_test=n_test)
 
     @pytest.mark.parametrize("noise", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_noise_rejected(self, noise):

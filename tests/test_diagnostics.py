@@ -415,6 +415,18 @@ class TestEffectiveScaleSweepPasses:
         assert report.average == average
         assert report.samples == sum(rows)
 
+    def test_recursive_per_block_equals_effective_scale_bit_for_bit(self):
+        # 8 rows: weighting a scale by the row count and dividing it back out is exact
+        model = scale_model(SkipConstruction(SkipKind.RSKIP_LN, lam=3), seed=7)
+        x = np.random.default_rng(7).normal(size=(8, 3))
+        outs = []
+        with no_grad():
+            model.forward(Tensor(x), block_outputs=outs)
+            ins = [model.project_in(x)] + outs[:-1]
+            expected = tuple(effective_scale(block, Tensor(h.data)) for block, h in zip(model.blocks, ins))
+        assert len(set(expected)) == len(expected)  # generic, input-dependent scales
+        assert effective_scale_sweep(model, [x]).per_block == expected
+
     @pytest.mark.parametrize("construction, calls_per_batch", [
         (SkipConstruction(SkipKind.RSKIP_LN, lam=3), 4),
         (SkipConstruction(SkipKind.XSKIP_LN, lam=2.0), 0),

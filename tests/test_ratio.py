@@ -16,6 +16,7 @@ from skipnorm import (
     ratio_general,
     unroll_decompose,
 )
+from skipnorm.ratio import _mean_ratio
 
 
 def random_block_witness(lam, rng, width=8, batch=4):
@@ -207,3 +208,54 @@ class TestClosedForm:
             biases=wit.biases,
         )
         np.testing.assert_array_equal(ratio_general(wit), ratio_general(scaled))
+
+
+def wide_witness(lam, rng, batch, d):
+    """Statistics over wide ranges: sigmas log-uniform in [1e-3, 1e3],
+    gains of either sign with magnitudes log-uniform in [0.05, 20]."""
+    def gain():
+        return rng.choice([-1.0, 1.0], size=d) * 10.0 ** rng.uniform(np.log10(0.05), np.log10(20.0), size=d)
+
+    return RatioWitness(
+        sigmas=tuple(10.0 ** rng.uniform(-3.0, 3.0, size=batch) for _ in range(lam)),
+        mus=tuple(rng.normal(size=batch) for _ in range(lam)),
+        gains=tuple(gain() for _ in range(lam)),
+        biases=tuple(rng.normal(size=d) for _ in range(lam)),
+    )
+
+
+def mean_abs_terms(wit):
+    """Mean over rows and features of 1 + sum_i |P_i (x) Q_i|, the size of
+    the terms the closed form adds; it separates like the ratio does."""
+    total, rows, cols = 1.0, np.ones(1), np.ones(1)
+    for sigma, w in zip(wit.sigmas[:-1], wit.gains[:-1]):
+        rows, cols = rows * sigma, cols / w
+        total += np.abs(rows).mean() * np.abs(cols).mean()
+    return total
+
+
+class TestSeparableMean:
+    @settings(max_examples=200, deadline=None)
+    @given(lam=st.integers(1, 6), batch=st.integers(1, 64), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_mean_of_the_closed_form_to_rounding(self, lam, batch, d, seed):
+        wit = wide_witness(lam, np.random.default_rng(seed), batch, d)
+        gap = abs(_mean_ratio(wit) - float(ratio_general(wit).mean()))
+        assert gap <= 16 * np.finfo(float).eps * mean_abs_terms(wit)
+
+    def test_whitened_mean_is_the_level_count_exactly(self):
+        for lam in (1, 2, 3, 4, 7):
+            assert _mean_ratio(whitened_witness(lam)) == float(lam)
+
+    def test_one_level_is_one_exactly(self):
+        wit = wide_witness(1, np.random.default_rng(6), 5, 7)
+        assert _mean_ratio(wit) == 1.0 == float(ratio_general(wit).mean())
+
+    @pytest.mark.parametrize("lam, level", [(1, 1), (2, 1), (2, 2), (4, 1), (4, 3), (4, 4)])
+    def test_a_zero_gain_on_any_level_raises_as_the_closed_form_does(self, lam, level):
+        wit = whitened_witness(lam)
+        wit.gains[level - 1][2] = 0.0
+        with pytest.raises(SingularRatioError) as full:
+            ratio_general(wit)
+        with pytest.raises(SingularRatioError) as separable:
+            _mean_ratio(wit)
+        assert str(separable.value) == str(full.value) == f"gain of level {level} has an exactly-zero entry"

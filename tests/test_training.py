@@ -392,6 +392,28 @@ class TestEvaluationInputs:
         with pytest.raises(DimensionError, match=f"{labels} labels for 3 rows"):
             evaluate(model, np.zeros((3, 2)), np.zeros(labels, dtype=int))
 
+    @pytest.mark.parametrize("evaluate", [evaluate_loss, evaluate_error])
+    @pytest.mark.parametrize("labels, error, match", [
+        ([[0], [1], [2]], DimensionError, r"shape \(3,\), got \(3, 1\)"),
+        ([0.5, 1.0, 7.0], ContractError, "labels must be integers"),
+        ([0.0, 1.0, 2.0], ContractError, "labels must be integers"),
+        ([True, False, True], ContractError, "labels must be integers"),
+        ([0, 1, 7], IndexError, r"label out of range \[0, 3\)"),
+        ([0, 1, 3], IndexError, r"label out of range \[0, 3\)"),
+        ([-1, 0, 2], IndexError, r"label out of range \[0, 3\)"),
+    ], ids=["not-1-d", "fractions", "integral-floats", "bools", "seven", "three", "minus-one"])
+    def test_labels_that_cross_entropy_refuses_are_refused_before_any_forward(self, evaluate, labels, error, match):
+        model = build_model(ModelConfig(PLAIN, 2, 2, 4, 4, 3), seed=0)
+        model.forward = refusing_forward
+        with pytest.raises(error, match=match):
+            evaluate(model, np.zeros((3, 2)), np.array(labels))
+
+    def test_every_class_of_the_model_is_a_valid_label(self):
+        model = build_model(ModelConfig(PLAIN, 2, 2, 4, 4, 3), seed=0)
+        x, labels = np.zeros((3, 2)), np.array([0, 1, 2])
+        assert 0.0 <= evaluate_error(model, x, labels) <= 1.0
+        assert math.isfinite(evaluate_loss(model, x, labels))
+
 
 class TestManifestDigests:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
