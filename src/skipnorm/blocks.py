@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_doubles, _check_seed
 from .normalization import BatchNormParams, LayerNormParams, _combine_norm, combine_norm
-from .ratio import RatioWitness, _mean_ratio
+from .ratio import RatioWitness, _mean_ratio, _separable_mean
 from .tensor import Tensor, _records, add, matmul, no_grad, relu
 
 __all__ = [
@@ -331,12 +331,11 @@ class ResidualBlock:
         """Forward an LN block while recording its decomposition witness.
 
         Returns (y, f, witness): y bit-equal to ``forward(x)``, f the branch
-        value, and the witness of every level, innermost first. It describes
-        y_k = LN_k(x + y_{k-1}) only, so a block with a or c other than 1 raises.
+        value, and the witness of every level, innermost first, a and c
+        included. A block without layer norm raises before any forward.
         """
-        a = self._a if self.w_skip is None else self.w_skip.data
-        if not (self.construction.uses_ln and self._c == 1.0 and np.all(a == 1.0)):
-            raise ContractError(f"the witness describes LN blocks with a = c = 1, not {self.construction.label()}")
+        if not self.construction.uses_ln:
+            raise ContractError(f"the witness describes LN blocks, not {self.construction.label()}")
         f = self.branch(x)  # a wrong width fails here or in combine_norm
         stats = []
         y = combine_norm(x, f, self._a, self._c, self.norms, stats)
@@ -347,6 +346,8 @@ class ResidualBlock:
             mus=mus,
             gains=tuple([p.gain.data.copy() for p in self.norms]),
             biases=tuple([p.bias.data.copy() for p in self.norms]),
+            a=self._a if self.w_skip is None else self.w_skip.data.copy(),
+            c=self._c,
         )
         return y, f, wit
 
@@ -354,11 +355,11 @@ class ResidualBlock:
 def effective_scale(block, x):
     """Shortcut/residual coefficient ratio of one LN block on one input Tensor.
 
-    With one level the ratio is mean(a)/c whatever the input: lambda for
-    xSkip+LN, the mean skip gain for wSkip+LN, 1/c for LN(x+cF). With
-    more levels it is the closed-form ratio evaluated on the captured
-    witness, averaged over rows and features (by its separable form, see
-    ``skipnorm.ratio``).
+    The closed-form ratio of ``skipnorm.ratio`` on the block's witness,
+    averaged over rows and features by its separable form. The outermost
+    level cancels from it, so a one-level block's scale, mean(a)/c, needs
+    no input and no forward: lambda for xSkip+LN, the mean skip gain for
+    wSkip+LN, 1/c for LN(x+cF).
     """
     scale = _input_free_scale(block)
     if scale is None:
@@ -368,15 +369,14 @@ def effective_scale(block, x):
 
 
 def _input_free_scale(block):
-    """The effective scale of a one-level LN block; None for a block of
-    several levels, whose scale depends on the input."""
+    """The effective scale of a one-level LN block, the separable mean of no
+    inner levels; None for several levels, whose scale depends on the input."""
     c = block.construction
     if not c.uses_ln:
         raise ContractError(f"effective scale is undefined for {c.label()}")
     if c.levels > 1:
         return None
-    a = block._a if block.w_skip is None else block.w_skip.data
-    return float(np.mean(a)) / c.residual_scale
+    return _separable_mean(block._a if block.w_skip is None else block.w_skip.data, block._c, (), ())
 
 
 @dataclass(frozen=True)
@@ -422,9 +422,16 @@ class ResidualModel:
     __call__ = forward
 
     def project_in(self, x):
-        """The input projection x @ in_w + in_b: the first block's input."""
+        """The input projection x @ in_w + in_b: the first block's input.
+
+        Every activation of a forward is sized rows x width or rows x
+        hidden, so a batch whose widest activation would exceed
+        MAX_DOUBLES raises ConfigError here, before any is allocated."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
+        width = self.in_w.data.shape[-1]
+        widest = max(width, self.config.hidden) if self.config else width
+        _check_doubles(math.prod(x.data.shape[:-1]) * widest, "one activation of the batch")
         return add(matmul(x, self.in_w), self.in_b)
 
     def parameters(self):
@@ -451,10 +458,18 @@ class ResidualModel:
         return sum(p.data.size for _, p, _ in self.parameters())
 
 
+# the Python objects of one norm level, its parameter set and two Tensors,
+# take 570 (LN) to 830 (BN) bytes beside its 2*width doubles; build_block
+# charges them as 100 doubles, so a block of 1e5 levels at width 1 is
+# refused instead of filling memory object by object
+_LEVEL_OBJECT_DOUBLES = 100
+
+
 def build_block(construction, width, hidden, rng):
     """One freshly initialized block: branch draws from rng, norm gains
     and w_skip start at 1 and biases at 0."""
-    _check_doubles(_block_param_count(construction, width, hidden), "the block")
+    charge = _block_param_count(construction, width, hidden) + _LEVEL_OBJECT_DOUBLES * construction.levels
+    _check_doubles(charge, "the block")
     branch = AffineReluBranch.init(width, hidden, rng)
     w_skip = None
     if construction._lowered.a == "w":

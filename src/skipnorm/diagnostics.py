@@ -162,8 +162,8 @@ def effective_scale_sweep(model, batches):
     tape. A one-level block's scale does not depend on the input, so a
     model of such blocks (xSkip+LN, wSkip+LN, LN(x+cF)) runs no forward
     and its batches are only checked for the shape a forward would
-    accept. Otherwise each multi-level block's witness is captured
-    during the one pass that produces the block inputs, and the output
+    accept. Otherwise every block's witness is captured during the
+    one pass that produces the block inputs, and the output
     projection is never computed. A batch of no rows contributes nothing.
     """
     fixed = [_input_free_scale(block) for block in model.blocks]
@@ -178,19 +178,15 @@ def effective_scale_sweep(model, batches):
 def _witness_scales(model, x, fixed):
     """Each block's effective scale on the rows of x: ``fixed`` when no
     block needs a witness, else from one pass through the blocks that
-    captures a witness only where the scale depends on the input."""
+    captures every block's witness."""
     if None not in fixed:
         return fixed
     scales = []
     with no_grad():
         h = model.project_in(x)
-        for block, scale in zip(model.blocks, fixed):
-            if scale is None:
-                h, _, witness = block.witness(h)
-                scale = _mean_ratio(witness)
-            else:
-                h = block.forward(h)
-            scales.append(scale)
+        for block in model.blocks:
+            h, _, witness = block.witness(h)
+            scales.append(_mean_ratio(witness))
     return scales
 
 

@@ -431,8 +431,10 @@ class TestSizeLimit:
         with pytest.raises(ConfigError, match="the model would hold"):
             ModelConfig(SkipConstruction.parse("2xskip-ln"), depth, 2, width, hidden, 3)
 
+    # 400000rSkip+LN at width 1 has 8e5 parameter doubles, but its levels'
+    # Python objects are charged too
     @pytest.mark.parametrize("token, width, hidden", [("100000000rskip-ln", 8, 8), ("plain", 10**8, 8),
-                                                      ("rskip-bn", 8, 10**8)])
+                                                      ("rskip-bn", 8, 10**8), ("400000rskip-ln", 1, 1)])
     def test_an_oversize_block_is_refused_before_any_draw(self, token, width, hidden):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
@@ -440,12 +442,21 @@ class TestSizeLimit:
             build_block(SkipConstruction.parse(token), width, hidden, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("width, hidden", [(5, 3), (3, 5)])
+    def test_a_batch_is_refused_by_its_widest_activation(self, width, hidden, monkeypatch):
+        model = build_model(ModelConfig(SkipConstruction.parse("2rskip-ln"), 1, 2, width, hidden, 3), seed=0)
+        monkeypatch.setattr(errors, "MAX_DOUBLES", 4 * 5)
+        assert model.forward(np.zeros((4, 2))).data.shape == (4, 3)
+        with pytest.raises(ConfigError, match="one activation of the batch would hold 25 doubles"):
+            model.forward(np.zeros((5, 2)))
+
     @pytest.mark.parametrize("token", ["plain", "wskip-ln", "3rskip-ln"])
     def test_a_block_of_exactly_the_limit_is_built(self, token, monkeypatch):
         construction = SkipConstruction.parse(token)
-        monkeypatch.setattr(errors, "MAX_DOUBLES", blocks._block_param_count(construction, 4, 3))
+        objects = blocks._LEVEL_OBJECT_DOUBLES * construction.levels
+        monkeypatch.setattr(errors, "MAX_DOUBLES", blocks._block_param_count(construction, 4, 3) + objects)
         block = build_block(construction, 4, 3, np.random.default_rng(0))
-        assert sum(p.data.size for _, p, _ in block.parameters()) == errors.MAX_DOUBLES
+        assert sum(p.data.size for _, p, _ in block.parameters()) + objects == errors.MAX_DOUBLES
         with pytest.raises(ConfigError):
             build_block(construction, 4, 4, np.random.default_rng(0))
 

@@ -402,6 +402,11 @@ OVERSIZE_RUNS = {
     "test-n": ["matrix", "--test-n", "100000000000", "--runs", "1"],
     "ratio-check-levels": ["ratio-check", "--lambda", "100000000", "--samples", "1"],
     "ratio-check-width": ["ratio-check", "--width", "100000000", "--samples", "1"],
+    # within the parameter limit, but a 256-row batch at that width or hidden
+    # width is not, nor are the Python objects of that many norm levels
+    "activation-width": ["gradnorm", "--width", "1000000", "--hidden", "1", "--depth", "1", "--samples", "256"],
+    "activation-hidden": ["gradnorm", "--width", "1", "--hidden", "1000000", "--depth", "1", "--samples", "256"],
+    "ratio-check-level-objects": ["ratio-check", "--lambda", "4000000", "--width", "1", "--samples", "1"],
 }
 
 

@@ -19,6 +19,7 @@ from skipnorm import (
     Tensor,
     build_block,
     build_model,
+    ratio_general,
     save_model,
     unroll_decompose,
 )
@@ -83,12 +84,11 @@ def test_kind_codes_are_pinned():
 
 
 # (token, w_skip value) of every preset, at the starting value w = 1, plus
-# the recursion depths and the skip gain the presets leave out; the witness
-# describes exactly the LN blocks y_k = LN_k(x + y_{k-1}), a = c = 1
+# the recursion depths and the skip gain the presets leave out; every LN
+# block has a witness, whatever its a and c, and every other block refuses
 WITNESS_CASES = [(p[0], 1.0) for p in PRESETS] + [
     ("1xskip-ln", 1.0), ("2rskip-ln", 1.0), ("4rskip-ln", 1.0), ("wskip-ln", 1.7),
 ]
-WITNESSED = {"1xSkip+LN", "1rSkip+LN", "2rSkip+LN", "3rSkip+LN", "4rSkip+LN", "LN(x+1F)", "wSkip+LN at w=1"}
 
 
 @pytest.mark.parametrize("token, w", WITNESS_CASES, ids=[t if w == 1 else f"{t}-w{w}" for t, w in WITNESS_CASES])
@@ -100,19 +100,24 @@ def test_witness_reconstructs_its_block_or_refuses(token, w):
     for p in block.norms:
         p.gain.data = rng.uniform(0.3, 1.7, size=8)
         p.bias.data = 0.5 * rng.normal(size=8)
-    name = block.construction.label() + (f" at w={w:g}" if block.w_skip is not None else "")
     x = Tensor(rng.normal(size=(4, 8)))
-    if name not in WITNESSED:
+    if not block.construction.uses_ln:
         calls = []
         branch = block.branch
         block.branch = lambda v: calls.append(v) or branch(v)
-        with pytest.raises(ContractError, match="a = c = 1"):
+        with pytest.raises(ContractError, match="describes LN blocks"):
             block.witness(x)
         assert calls == []  # refused before any forward
         return
     y, f, witness = block.witness(x)
     assert y.data.tobytes() == block.forward(x).data.tobytes()
+    con = block.construction
+    if block.w_skip is None:  # lambda is the shortcut gain of one-level kinds, the depth of rSkip+LN
+        assert (witness.a, witness.c) == (con.lam if con.levels == 1 else 1.0, con.residual_scale)
+    else:
+        assert witness.a is not block.w_skip.data and np.array_equal(witness.a, block.w_skip.data)
     coef_x, coef_f, const = unroll_decompose(witness, x.data, f.data)
     assert np.abs(coef_x * x.data + coef_f * f.data + const - y.data).max() <= 1e-10
+    np.testing.assert_allclose(ratio_general(witness), coef_x / coef_f, rtol=1e-12)
     with pytest.raises(DimensionError):
         block.witness(Tensor(np.zeros((4, 7))))

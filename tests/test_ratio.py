@@ -1,5 +1,7 @@
 """Decomposition coefficients and the closed-form coefficient ratio."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,11 @@ from skipnorm import (
     SkipKind,
     Tensor,
     build_block,
+    effective_scale,
     ratio_general,
     unroll_decompose,
 )
+from skipnorm.blocks import _input_free_scale
 from skipnorm.ratio import _mean_ratio
 
 
@@ -46,12 +50,29 @@ def random_witness(lam, rng, batch, d):
     )
 
 
+def with_shortcut(wit, rng, shape):
+    """The witness with a and c per ``shape``: "unit" leaves a = c = 1;
+    "scalar" and "vector" draw a signed a of magnitude log-uniform in
+    [0.05, 20], one for all features or one per feature, and c
+    log-uniform in [0.05, 20]."""
+    if shape == "unit":
+        return wit
+    d = wit.gains[0].shape[0]
+    size = None if shape == "scalar" else d
+    a = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(np.log10(0.05), np.log10(20.0), size=size)
+    return replace(wit, a=a, c=10.0 ** rng.uniform(np.log10(0.05), np.log10(20.0)))
+
+
+SHORTCUTS = st.sampled_from(["unit", "scalar", "vector"])
+
+
 def recurse(wit, x, f):
-    """y_k = w_k * (x + y_{k-1} - mu_k) / sigma_k + b_k with y_0 = f, the
-    recursion the decomposition unrolls, on the witness's statistics."""
+    """y_k = w_k * (a * x + c * y_{k-1} - mu_k) / sigma_k + b_k with
+    y_0 = f, the recursion the decomposition unrolls, on the witness's
+    statistics."""
     y = f
     for sigma, mu, w, b in zip(wit.sigmas, wit.mus, wit.gains, wit.biases):
-        y = w * (x + y - mu[:, None]) / sigma[:, None] + b
+        y = w * (wit.a * x + wit.c * y - mu[:, None]) / sigma[:, None] + b
     return y
 
 
@@ -83,6 +104,18 @@ class TestWitnessValidation:
                 gains=(np.ones(3),),
                 biases=(np.zeros(3),),
             )
+
+    @pytest.mark.parametrize("a", [np.ones(4), np.ones(6), np.ones((1, 5)), np.array([1.0, 2.0, np.nan, 1.0, 1.0]),
+                                   np.full(5, np.inf), np.nan, np.inf, -np.inf],
+                             ids=["short", "long", "2-d", "nan-entry", "inf-entries", "nan", "inf", "-inf"])
+    def test_malformed_shortcut_gain_rejected(self, a):
+        with pytest.raises(ContractError, match="finite a"):
+            replace(whitened_witness(2), a=a)
+
+    @pytest.mark.parametrize("c", [0.0, -0.0, -2.0, np.nan, np.inf, -np.inf])
+    def test_malformed_residual_scale_rejected(self, c):
+        with pytest.raises(ContractError, match="0 < c < inf"):
+            replace(whitened_witness(2), c=c)
 
     def test_shape_mismatch_between_x_and_f(self):
         wit = whitened_witness(1)
@@ -132,10 +165,11 @@ class TestReconstruction:
 
 class TestReconstructionProperties:
     @settings(max_examples=150, deadline=None)
-    @given(lam=st.integers(1, 6), batch=st.integers(1, 6), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
-    def test_any_witness_unrolls_its_recursion(self, lam, batch, d, seed):
+    @given(lam=st.integers(1, 6), batch=st.integers(1, 6), d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           shortcut=SHORTCUTS)
+    def test_any_witness_unrolls_its_recursion(self, lam, batch, d, seed, shortcut):
         rng = np.random.default_rng(seed)
-        wit = random_witness(lam, rng, batch, d)
+        wit = with_shortcut(random_witness(lam, rng, batch, d), rng, shortcut)
         x, f = rng.normal(size=(batch, d)), rng.normal(size=(batch, d))
         coef_x, coef_f, const = unroll_decompose(wit, x, f)
         terms = np.abs(coef_x * x) + np.abs(coef_f * f) + np.abs(const)
@@ -143,7 +177,7 @@ class TestReconstructionProperties:
         assert np.all(err <= 1e-12 * (1.0 + terms)), err.max()
         # gains of either sign let the ratio's terms cancel, so its error
         # is measured against the sum of their magnitudes
-        magnitude = ratio_general(RatioWitness(wit.sigmas, wit.mus, tuple(map(np.abs, wit.gains)), wit.biases))
+        magnitude = ratio_general(replace(wit, gains=tuple(map(np.abs, wit.gains)), a=np.abs(wit.a)))
         assert np.all(np.abs(ratio_general(wit) - coef_x / coef_f) <= 1e-12 * magnitude)
 
     @settings(max_examples=100, deadline=None)
@@ -163,6 +197,13 @@ class TestClosedForm:
         rng = np.random.default_rng(2)
         wit, _, _, _ = random_block_witness(1, rng)
         np.testing.assert_array_equal(ratio_general(wit), 1.0)
+
+    def test_single_level_ratio_is_a_over_c_exactly(self):
+        wit, _, _, _ = random_block_witness(1, np.random.default_rng(2))
+        a = np.linspace(-2.0, 3.0, 8)
+        np.testing.assert_array_equal(ratio_general(replace(wit, a=a, c=3.0)), np.broadcast_to(a / 3.0, (4, 8)))
+        assert _mean_ratio(replace(wit, a=a, c=3.0)) == a.mean() / 3.0
+        assert _mean_ratio(replace(wit, a=0.5, c=4.0)) == 0.125
 
     def test_two_level_ratio_is_inner_sigma_over_gain_plus_one(self):
         rng = np.random.default_rng(3)
@@ -225,20 +266,24 @@ def wide_witness(lam, rng, batch, d):
 
 
 def mean_abs_terms(wit):
-    """Mean over rows and features of 1 + sum_i |P_i (x) Q_i|, the size of
-    the terms the closed form adds; it separates like the ratio does."""
-    total, rows, cols = 1.0, np.ones(1), np.ones(1)
+    """Mean over rows and features of |a|/c * (1 + sum_i |P_i (x) Q_i|),
+    the size of the terms the closed form adds, with Q_i = prod 1/(c w_j);
+    it separates like the ratio does."""
+    a, c = np.abs(wit.a), wit.c
+    total, rows, cols = np.mean(a) / c, np.ones(1), np.ones(1)
     for sigma, w in zip(wit.sigmas[:-1], wit.gains[:-1]):
-        rows, cols = rows * sigma, cols / w
-        total += np.abs(rows).mean() * np.abs(cols).mean()
+        rows, cols = rows * sigma, cols / (c * w)
+        total += np.abs(rows).mean() * np.abs(a * cols).mean() / c
     return total
 
 
 class TestSeparableMean:
     @settings(max_examples=200, deadline=None)
-    @given(lam=st.integers(1, 6), batch=st.integers(1, 64), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
-    def test_equals_the_mean_of_the_closed_form_to_rounding(self, lam, batch, d, seed):
-        wit = wide_witness(lam, np.random.default_rng(seed), batch, d)
+    @given(lam=st.integers(1, 6), batch=st.integers(1, 64), d=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+           shortcut=SHORTCUTS)
+    def test_equals_the_mean_of_the_closed_form_to_rounding(self, lam, batch, d, seed, shortcut):
+        rng = np.random.default_rng(seed)
+        wit = with_shortcut(wide_witness(lam, rng, batch, d), rng, shortcut)
         gap = abs(_mean_ratio(wit) - float(ratio_general(wit).mean()))
         assert gap <= 16 * np.finfo(float).eps * mean_abs_terms(wit)
 
@@ -259,3 +304,39 @@ class TestSeparableMean:
         with pytest.raises(SingularRatioError) as separable:
             _mean_ratio(wit)
         assert str(separable.value) == str(full.value) == f"gain of level {level} has an exactly-zero entry"
+
+
+LN_KINDS = [SkipKind.XSKIP_LN, SkipKind.RSKIP_LN, SkipKind.WSKIP_LN, SkipKind.CONTRACTED_F_LN]
+
+
+class TestEveryLNKind:
+    """The witness of a live block of every LN kind, a and c included."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(LN_KINDS), lam=st.floats(0.05, 20.0), levels=st.integers(1, 5),
+           c=st.floats(0.05, 20.0), width=st.integers(2, 10), batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_witness_reconstructs_and_scales_its_block(self, kind, lam, levels, c, width, batch, seed):
+        con = SkipConstruction(kind, **{
+            SkipKind.XSKIP_LN: dict(lam=lam),
+            SkipKind.RSKIP_LN: dict(lam=levels),
+            SkipKind.WSKIP_LN: {},
+            SkipKind.CONTRACTED_F_LN: dict(residual_scale=c),
+        }[kind])
+        rng = np.random.default_rng(seed)
+        block = build_block(con, width=width, hidden=6, rng=rng)
+        if block.w_skip is not None:
+            block.w_skip.data = rng.choice([-1.0, 1.0], size=width) * rng.uniform(0.1, 2.0, size=width)
+        for p in block.norms:
+            p.gain.data = rng.uniform(0.3, 1.7, size=width)
+            p.bias.data = 0.5 * rng.normal(size=width)
+        block.branch.b1.data = 0.3 * rng.normal(size=6)
+        x = Tensor(rng.normal(size=(batch, width)))
+        y, f, wit = block.witness(x)
+        coef_x, coef_f, const = unroll_decompose(wit, x.data, f.data)
+        assert np.abs(coef_x * x.data + coef_f * f.data + const - y.data).max() <= 1e-10
+        ratio = ratio_general(wit)
+        assert (np.abs(ratio - coef_x / coef_f) / np.abs(coef_x / coef_f)).max() <= 1e-12
+        assert abs(_mean_ratio(wit) - float(ratio.mean())) <= 16 * np.finfo(float).eps * mean_abs_terms(wit)
+        if con.levels == 1:
+            # the outer level cancels, so no input is needed: the same rule, bit for bit
+            assert _input_free_scale(block) == _mean_ratio(wit) == effective_scale(block, None)
