@@ -394,7 +394,8 @@ class ModelConfig:
         for name in ("d_in", "width", "hidden", "classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        _check_doubles(_param_count(self), "the model")
+        objects = self.depth * self.construction.levels * _LEVEL_OBJECT_DOUBLES
+        _check_doubles(_param_count(self) + objects, "the model")
 
 
 class ResidualModel:
@@ -405,6 +406,12 @@ class ResidualModel:
         self.blocks = list(blocks)
         self.out_w, self.out_b = out_w, out_b
         self.config = config
+        # doubles per batch row that a recorded block keeps: the hidden
+        # activation, each level's standardized input, the block output and
+        # PLAIN's separate sum; a forward without a tape holds one block's
+        self._block_row_doubles = None if config is None else (
+            config.hidden + (config.construction.levels + 2) * config.width
+        )
 
     def forward(self, x, block_outputs=None):
         """Project, run the blocks in order, project to logits.
@@ -424,14 +431,18 @@ class ResidualModel:
     def project_in(self, x):
         """The input projection x @ in_w + in_b: the first block's input.
 
-        Every activation of a forward is sized rows x width or rows x
-        hidden, so a batch whose widest activation would exceed
-        MAX_DOUBLES raises ConfigError here, before any is allocated."""
+        A batch whose forward would keep more than MAX_DOUBLES raises
+        ConfigError here, before any of it is allocated. For a model built
+        from a config that is rows x depth x (hidden + (levels + 2) x
+        width) on a tape, and one block's share without one; for any
+        other model rows x width."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        width = self.in_w.data.shape[-1]
-        widest = max(width, self.config.hidden) if self.config else width
-        _check_doubles(math.prod(x.data.shape[:-1]) * widest, "one activation of the batch")
+        per_row = self.in_w.data.shape[-1]
+        if self.config is not None:
+            depth = self.config.depth if _records((x, self.in_w, self.in_b)) else 1
+            per_row = depth * self._block_row_doubles
+        _check_doubles(math.prod(x.data.shape[:-1]) * per_row, "the forward of the batch")
         return add(matmul(x, self.in_w), self.in_b)
 
     def parameters(self):
@@ -460,8 +471,9 @@ class ResidualModel:
 
 # the Python objects of one norm level, its parameter set and two Tensors,
 # take 570 (LN) to 830 (BN) bytes beside its 2*width doubles; build_block
-# charges them as 100 doubles, so a block of 1e5 levels at width 1 is
-# refused instead of filling memory object by object
+# charges them as 100 doubles, and ModelConfig sums that over depth, so a
+# block of 4e5 levels at width 1, or 50 blocks of 1e5 levels, is refused
+# instead of filling memory object by object
 _LEVEL_OBJECT_DOUBLES = 100
 
 

@@ -213,7 +213,7 @@ def _cmd_ratio_check(args):
 
 def _cmd_gradcheck(args):
     _check_outputs(args)
-    rows = gradcheck_battery(instances=args.samples, seed=args.seed, tol=args.tol)
+    rows = gradcheck_battery(instances=args.samples, seed=args.seed)
     table = [(target, err, tol, "pass" if passed else "FAIL") for target, err, tol, passed in rows]
     text = csv_text(("target", "max_rel_err", "tol", "status"), table)
     if args.out:
@@ -300,7 +300,6 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient battery")
     p.add_argument("--samples", type=int, default=20, help="instances per case")
-    p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gradcheck)

@@ -16,6 +16,7 @@ from .normalization import BatchNormParams, LayerNormParams, batch_norm, layer_n
 from .ratio import _mean_ratio, ratio_general, unroll_decompose
 from .tensor import (
     Tensor,
+    _TOL,
     _check_matmul_shapes,
     _worst,
     add,
@@ -234,13 +235,13 @@ _BATTERY_PRESETS = (
 )
 
 
-def gradcheck_battery(instances=20, seed=0, tol=1e-4):
+def gradcheck_battery(instances=20, seed=0):
     """Finite-difference check of every op and every block construction.
 
     Returns rows (target, max_rel_err, tol, passed), one per case, each
     aggregated over ``instances`` seeded random instances (at least one;
-    a NaN error is the worst and fails its row). The battery is
-    deterministic for a given seed.
+    a NaN error is the worst and fails its row) and gated at gradcheck's
+    fixed tol, 1e-4. The battery is deterministic for a given seed.
     """
     if instances < 1:
         raise ContractError(f"gradcheck_battery needs at least one instance per case, got {instances}")
@@ -339,8 +340,8 @@ def gradcheck_battery(instances=20, seed=0, tol=1e-4):
     cases += [(f"block:{c.label()}", block_case(c)) for c in map(SkipConstruction.parse, _BATTERY_PRESETS)]
     rows = []
     for name, case in cases:
-        worst = _worst([gradcheck(*case(), tol=tol).max_rel_err for _ in range(instances)])
-        rows.append((name, worst, tol, worst <= tol))
+        worst = _worst([gradcheck(*case()).max_rel_err for _ in range(instances)])
+        rows.append((name, worst, _TOL, worst <= _TOL))
     return rows
 
 

@@ -275,10 +275,9 @@ def _combine_norm(x, y, a, c, norms, stats_out, owned):
             z = np.multiply(z, c, out=z if private else None)
             private = True
         # a*x + c*y_{k-1}, the operands in the order the composed ops take
-        # them, into z if it is private, else into a*x unless a later level
-        # reads it again
+        # them, into z if it is private, else into a fresh array
         first, second = (z, ax) if ax is x.data and c != 1.0 else (ax, z)
-        z = np.add(first, second, out=z if private else ax if levels == 1 and ax is not x.data else None)
+        z = np.add(first, second, out=z if private else None)
         if not norms:
             break
         if isinstance(norms[k], LayerNormParams):

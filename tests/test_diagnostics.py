@@ -589,6 +589,10 @@ class TestBatteries:
             pattern = "block:" + re.escape(SkipConstruction(kind).label()).replace("1", "[0-9.]+")
             assert any(re.fullmatch(pattern, name) for name in names), f"no battery row for {kind.value}"
 
+    def test_every_battery_row_carries_the_fixed_tol(self):
+        rows = gradcheck_battery(instances=1, seed=0)
+        assert len(rows) == 24 and all(tol == 1e-4 for _, _, tol, _ in rows)
+
     def test_gradcheck_battery_is_deterministic(self):
         assert gradcheck_battery(instances=2, seed=5) == gradcheck_battery(instances=2, seed=5)
 
@@ -609,7 +613,7 @@ class TestBatteries:
         def nan_on_second_call(f, inputs, **kwargs):
             report = real(f, inputs, **kwargs)
             calls.append(report)
-            return GradCheckReport(float("nan"), report.tol) if len(calls) == 2 else report
+            return GradCheckReport(float("nan")) if len(calls) == 2 else report
 
         monkeypatch.setattr(diagnostics, "gradcheck", nan_on_second_call)
         name, worst, tol, passed = gradcheck_battery(instances=3, seed=0)[0]

@@ -75,7 +75,6 @@ class TestLayerNorm:
             report = gradcheck(
                 lambda a, w, b: tsum(layer_norm(a, LayerNormParams(w, b))),
                 [x, p.gain, p.bias],
-                tol=1e-4,
             )
             assert report.passed, report
 
@@ -153,7 +152,7 @@ class TestBatchNorm:
                 q = BatchNormParams(w, b, p.running_mean.copy(), p.running_var.copy())
                 return tsum(ewmul(batch_norm(a, q), weights))
 
-            report = gradcheck(f, [x, p.gain, p.bias], tol=1e-4)
+            report = gradcheck(f, [x, p.gain, p.bias])
             assert report.passed, report
 
     def test_gradcheck_inference_mode(self):
@@ -167,7 +166,7 @@ class TestBatchNorm:
             return tsum(batch_norm(a, q))
 
         p = BatchNormParams.create(4)
-        report = gradcheck(f, [x, p.gain, p.bias], tol=1e-4)
+        report = gradcheck(f, [x, p.gain, p.bias])
         assert report.passed, report
 
     def test_param_validation(self):
