@@ -389,29 +389,25 @@ class ModelConfig:
     classes: int
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        for name in ("d_in", "width", "hidden", "classes"):
+        for name in ("depth", "d_in", "width", "hidden", "classes"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        objects = self.depth * self.construction.levels * _LEVEL_OBJECT_DOUBLES
-        _check_doubles(_param_count(self) + objects, "the model")
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_doubles(_footprint(self), "the model")
 
 
 class ResidualModel:
-    """Input projection, a stack of equal-width blocks, output projection."""
+    """Input projection, the config's stack of equal blocks, output projection."""
 
-    def __init__(self, in_w, in_b, blocks, out_w, out_b, config=None):
+    def __init__(self, in_w, in_b, blocks, out_w, out_b, config):
         self.in_w, self.in_b = in_w, in_b
         self.blocks = list(blocks)
         self.out_w, self.out_b = out_w, out_b
         self.config = config
-        # doubles per batch row that a recorded block keeps: the hidden
-        # activation, each level's standardized input, the block output and
-        # PLAIN's separate sum; a forward without a tape holds one block's
-        self._block_row_doubles = None if config is None else (
-            config.hidden + (config.construction.levels + 2) * config.width
-        )
+        c, w, h = config.construction, config.width, config.hidden
+        found = [(b.construction, b.width, b.branch.w1.data.shape, b.branch.w2.data.shape) for b in self.blocks]
+        want = [(c, w, (w, h), (h, w))] * config.depth + [(config.d_in, w), (w, config.classes)]
+        if found + [in_w.data.shape, out_w.data.shape] != want:
+            raise ConfigError(f"the projections and {len(found)} blocks do not match the config {config}")
 
     def forward(self, x, block_outputs=None):
         """Project, run the blocks in order, project to logits.
@@ -431,18 +427,15 @@ class ResidualModel:
     def project_in(self, x):
         """The input projection x @ in_w + in_b: the first block's input.
 
-        A batch whose forward would keep more than MAX_DOUBLES raises
-        ConfigError here, before any of it is allocated. For a model built
-        from a config that is rows x depth x (hidden + (levels + 2) x
-        width) on a tape, and one block's share without one; for any
-        other model rows x width."""
+        A batch that would add more than MAX_DOUBLES to what the model
+        holds raises ConfigError here, before any of it is allocated. On a
+        tape that counts one step's forward, backward() and SGD step
+        (``train()`` can hold two steps' tapes); without one, one block at
+        a time (see ``_footprint``)."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        per_row = self.in_w.data.shape[-1]
-        if self.config is not None:
-            depth = self.config.depth if _records((x, self.in_w, self.in_b)) else 1
-            per_row = depth * self._block_row_doubles
-        _check_doubles(math.prod(x.data.shape[:-1]) * per_row, "the forward of the batch")
+        rows = math.prod(x.data.shape[:-1])
+        _check_doubles(_footprint(self.config, rows, _records((x, self.in_w, self.in_b))), "the forward of the batch")
         return add(matmul(x, self.in_w), self.in_b)
 
     def parameters(self):
@@ -469,19 +462,10 @@ class ResidualModel:
         return sum(p.data.size for _, p, _ in self.parameters())
 
 
-# the Python objects of one norm level, its parameter set and two Tensors,
-# take 570 (LN) to 830 (BN) bytes beside its 2*width doubles; build_block
-# charges them as 100 doubles, and ModelConfig sums that over depth, so a
-# block of 4e5 levels at width 1, or 50 blocks of 1e5 levels, is refused
-# instead of filling memory object by object
-_LEVEL_OBJECT_DOUBLES = 100
-
-
 def build_block(construction, width, hidden, rng):
-    """One freshly initialized block: branch draws from rng, norm gains
-    and w_skip start at 1 and biases at 0."""
-    charge = _block_param_count(construction, width, hidden) + _LEVEL_OBJECT_DOUBLES * construction.levels
-    _check_doubles(charge, "the block")
+    """One freshly initialized block, sized before any draw as a model of
+    it alone: branch draws from rng, gains and w_skip start at 1, biases 0."""
+    ModelConfig(construction, 1, 1, width, hidden, 1)
     branch = AffineReluBranch.init(width, hidden, rng)
     w_skip = None
     if construction._lowered.a == "w":
@@ -508,13 +492,11 @@ def build_model(cfg, seed):
     return ResidualModel(in_w, in_b, blocks, out_w, out_b, config=cfg)
 
 
-# checkpoint layout: magic, version, construction, geometry, parameter
-# count, then every parameter in declaration order as little-endian
-# doubles. Version 2 appends the running mean and variance of every batch
-# norm, block by block and level by level, and version 3 then each one's
-# mode, as its index in _MODES. Version 2 files load in training mode;
-# version 1 files, which lack the statistics too, are read only for kinds
-# without batch norm.
+# checkpoint layout (version 3, the only one read): magic, version,
+# construction, geometry, parameter count, then every parameter in
+# declaration order as little-endian doubles, then the running mean and
+# variance of every batch norm, block by block and level by level, then
+# each one's mode, as its index in _MODES.
 _MAGIC = b"SKNM"
 _VERSION = 3
 _MODES = ("training", "inference")
@@ -523,30 +505,54 @@ _CODE_KINDS = {i: k for k, i in _KIND_CODES.items()}
 _HEADER = struct.Struct("<4sII d d IIIII Q")
 
 
-def _block_param_count(c, w, h):
-    """Doubles in the parameters of one block: branch, norms, w_skip."""
-    return 2 * w * h + h + w + 2 * w * c.levels + (w if c._lowered.a == "w" else 0)
-
-
 def _param_count(cfg):
-    """Doubles in the parameters of a model of this geometry."""
-    w = cfg.width
-    per_block = _block_param_count(cfg.construction, w, cfg.hidden)
+    """Doubles in the parameters of a model of this geometry: the two
+    projections, and per block the branch, the norms and w_skip."""
+    c, w, h = cfg.construction, cfg.width, cfg.hidden
+    per_block = 2 * w * h + h + w + 2 * w * c.levels + (w if c._lowered.a == "w" else 0)
     return cfg.d_in * w + w + cfg.depth * per_block + w * cfg.classes + cfg.classes
 
 
-def _stats_count(cfg, version):
-    """Doubles of batch-norm state a checkpoint of this version carries:
-    running statistics, and from version 3 on one mode per norm."""
+def _stats_count(cfg):
+    """Doubles of batch-norm state a checkpoint carries: the running
+    statistics and one mode per norm."""
     c = cfg.construction
-    return cfg.depth * c.levels * (2 * cfg.width + (version >= 3)) if c.uses_bn else 0
+    return cfg.depth * c.levels * (2 * cfg.width + 1) if c.uses_bn else 0
+
+
+# on Python 3.11 a block's objects take 1.3 kB at width 1, a norm level's
+# 0.6 (LN) to 0.8 (BN) kB and 1.1 kB more on a tape; each is charged 2 kB,
+# so that 4e5 levels at width 1, or 1e6 blocks, are refused
+_OBJECT_DOUBLES = 256
+
+
+def _footprint(cfg, rows=0, recorded=False):
+    """Doubles a model of this geometry holds, or with ``rows`` the most a
+    forward of that many rows adds to it, counting the Python objects.
+
+    The model: its parameters, batch-norm state and objects. A forward
+    holds one block's arrays at a time: the batch and logits, the branch's
+    temporaries (up to three of rows x hidden at once), six of rows x width
+    and a norm level's statistics. A tape adds, per block, the hidden
+    activation, each level's standardized input and sigma, the output (and
+    PLAIN's sum) and two gradients; the projections and their gradients;
+    one gradient per parameter, the widest twice at once (it and an SGD
+    step's decayed copy); and the objects again."""
+    c, w, h, levels = cfg.construction, cfg.width, cfg.hidden, cfg.construction.levels
+    objects = _OBJECT_DOUBLES * (1 + cfg.depth * (1 + levels))
+    if not rows:
+        return _param_count(cfg) + _stats_count(cfg) + objects
+    held = rows * (cfg.d_in + 3 * h + 6 * w + 4 * cfg.classes) + 5 * (rows + w)
+    if not recorded:
+        return held
+    block = rows * (h + (max(levels, 1) + 3) * w) + levels * (rows if c.uses_ln else w)
+    tape = rows * (cfg.d_in + 4 * w + 4 * cfg.classes) + cfg.depth * block + _param_count(cfg)
+    return held + tape + 2 * w * max(h, cfg.d_in, cfg.classes) + 2 * objects
 
 
 def save_model(model, path):
     """Write a model checkpoint as a flat little-endian binary file."""
     cfg = model.config
-    if cfg is None:
-        raise ContractError("only models carrying a ModelConfig can be checkpointed")
     arrays = [p.data for _, p, _ in model.parameters()]
     count = sum(a.size for a in arrays)
     bns = [p for block in model.blocks for p in block.norms if isinstance(p, BatchNormParams)]
@@ -602,11 +608,11 @@ def load_model(path):
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise FormatError(f"{path}: truncated header")
-        cfg, version = _read_header(path, head)
-        expected = _HEADER.size + 8 * (_param_count(cfg) + _stats_count(cfg, version))
+        cfg = _read_header(path, head)
+        expected = _HEADER.size + 8 * (_param_count(cfg) + _stats_count(cfg))
         if size != expected:
             raise FormatError(f"{path}: expected {expected} bytes, found {size}")
-        return _read_model(cfg, version, fh, path), cfg
+        return _read_model(cfg, fh, path), cfg
 
 
 def _check_regular(path, fd):
@@ -618,13 +624,13 @@ def _check_regular(path, fd):
 
 
 def _read_header(path, head):
-    """The model config and format version a valid checkpoint header declares."""
+    """The model config a valid checkpoint header declares."""
     magic, version, kind_code, lam, residual_scale, depth, d_in, width, hidden, classes, count = (
         _HEADER.unpack(head)
     )
     if magic != _MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
-    if version not in (1, 2, _VERSION):
+    if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     if kind_code not in _CODE_KINDS:
         raise FormatError(f"{path}: unknown construction code {kind_code}")
@@ -635,14 +641,10 @@ def _read_header(path, head):
         raise FormatError(f"{path}: invalid header: {exc}") from exc
     if count != _param_count(cfg):
         raise FormatError(f"{path}: header declares {count} doubles, its geometry needs {_param_count(cfg)}")
-    if version < 2 and construction.uses_bn:
-        raise FormatError(
-            f"{path}: version {version} checkpoint of {construction.label()} lacks batch-norm running statistics"
-        )
-    return cfg, version
+    return cfg
 
 
-def _read_model(cfg, version, fh, path):
+def _read_model(cfg, fh, path):
     """Assemble a model of a validated geometry from the payload of an
     open checkpoint file: every array is allocated as the model is
     assembled, then all of them are filled with one vectored read."""
@@ -668,7 +670,7 @@ def _read_model(cfg, version, fh, path):
         w_skip = param(w) if c._lowered.a == "w" else None
         blocks.append(ResidualBlock(c, branch, norms, w_skip, width=w))
     out_w, out_b = param(w, cfg.classes), param(cfg.classes)
-    bns = [p for block in blocks for p in block.norms] if c.uses_bn and version >= 3 else []
+    bns = [p for block in blocks for p in block.norms] if c.uses_bn else []
     modes = take(1, len(bns)) if bns else ()
     arrays = sections[0] + sections[1]
     if not _vectored(os.preadv, fh.fileno(), arrays, _HEADER.size):

@@ -116,15 +116,13 @@ def gradient_norm_sweep(model, batches):
     finally:
         for p, flag in zip(params, flags):
             p.requires_grad = flag
-    return GradReport(model.blocks[0].construction.label(), norms, samples)
+    return GradReport(model.config.construction.label(), norms, samples)
 
 
 def _row_weighted(model, batches, values, what):
     """The row-weighted mean over (inputs, payload) batches of the
     per-block ``values(x, payload)``, and the row count. Every batch is
     shape-checked as a forward would be; one of no rows adds nothing."""
-    if not model.blocks:
-        raise ContractError(f"{what} needs at least one block")
     totals = np.zeros(len(model.blocks))
     samples = 0
     for x, payload in batches:
@@ -172,8 +170,7 @@ def effective_scale_sweep(model, batches):
     per_block, samples = _row_weighted(
         model, inputs, lambda x, _: _witness_scales(model, x, fixed), "effective_scale_sweep"
     )
-    label = model.blocks[0].construction.label()
-    return ScaleReport(label, per_block, float(np.mean(per_block)), samples)
+    return ScaleReport(model.config.construction.label(), per_block, float(np.mean(per_block)), samples)
 
 
 def _witness_scales(model, x, fixed):

@@ -32,9 +32,9 @@ def _check_seed(seed):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
 
 
-# the most float64 values one model's parameters, one block's parameters or
-# one synthetic dataset may hold: 2**24 doubles, 128 MiB, about 130 times
-# the 1.3e5 of a depth-16, width-64 benchmark model
+# the most float64 values a model, what one forward of a batch adds to it
+# (both counted by blocks._footprint) or a synthetic dataset may hold: 2**24
+# doubles, 128 MiB, 110 times a depth-16, width-64 2rSkip+LN model's 1.5e5
 MAX_DOUBLES = 1 << 24
 
 

@@ -413,6 +413,12 @@ OVERSIZE_RUNS = {
     "model-level-objects": ["gradnorm", "--construction", "100000rskip-ln", "--depth", "50", "--width", "1",
                             "--hidden", "1", "--samples", "1"],
     "recorded-forward": ["gradnorm", "--width", "65536", "--hidden", "1", "--depth", "4", "--samples", "256"],
+    # the Python objects of a million blocks, about 1.3 kB each at width 1
+    "block-objects": ["gradnorm", "--construction", "plain", "--depth", "1000000", "--width", "1", "--hidden", "1",
+                      "--samples", "1"],
+    # the branch's temporaries: a 256-row batch holds up to three of 256 x 60000 at once
+    "branch-temporaries": ["gradnorm", "--construction", "plain", "--width", "1", "--hidden", "60000", "--depth", "1",
+                           "--samples", "256"],
 }
 
 

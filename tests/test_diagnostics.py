@@ -116,13 +116,6 @@ class TestGradientNormSweep:
         with pytest.raises(ContractError):
             gradient_norm_sweep(model, [])
 
-    def test_blockless_model_rejected(self):
-        rng = np.random.default_rng(2)
-        t = lambda *shape: Tensor(rng.normal(size=shape), requires_grad=True)
-        model = ResidualModel(t(2, 4), t(4), [], t(4, 3), t(3))
-        with pytest.raises(ContractError):
-            gradient_norm_sweep(model, toy_batches())
-
 
 def two_tape_gradient_sweep(model, batches):
     """The gradient-norm sweep as it was before it freed anything: every
@@ -469,18 +462,6 @@ class TestEffectiveScaleSweepPasses:
         model = scale_model(SkipConstruction(SkipKind.CONTRACTED_F_LN, residual_scale=3.0), seed=2)
         report = effective_scale_sweep(model, [np.ones((3, 3))])
         assert report.per_block == (1.0 / 3.0,) * 4
-
-    def test_mixed_levels_keep_each_blocks_own_scale(self):
-        recursive = scale_model(SkipConstruction(SkipKind.RSKIP_LN, lam=2), seed=3)
-        contracted = scale_model(SkipConstruction(SkipKind.CONTRACTED_F_LN, residual_scale=2.0), seed=4)
-        wide = scale_model(SkipConstruction(SkipKind.WSKIP_LN), seed=5)
-        blocks = [recursive.blocks[0], contracted.blocks[1], wide.blocks[2], recursive.blocks[3]]
-        model = ResidualModel(recursive.in_w, recursive.in_b, blocks, recursive.out_w, recursive.out_b)
-        rng = np.random.default_rng(6)
-        batches = [rng.normal(size=(n, 3)) for n in (4, 1)]
-        report = effective_scale_sweep(model, batches)
-        assert report.per_block == two_pass_scale_sweep(model, batches)[0]
-        assert report.per_block[1] == 0.5
 
     def test_undefined_for_multi_level_batch_norm(self):
         model = scale_model(SkipConstruction(SkipKind.RSKIP_BN, lam=2), seed=1)
