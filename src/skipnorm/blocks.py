@@ -7,10 +7,8 @@ is a two-layer affine+relu bottleneck, but any differentiable callable
 of matching width works.
 """
 
-import errno
 import math
 import os
-import stat
 import struct
 import sys
 from dataclasses import dataclass
@@ -19,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_doubles, _check_seed
+from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_doubles, _check_seed, _open_regular
 from .normalization import BatchNormParams, LayerNormParams, _combine_norm, combine_norm
-from .ratio import RatioWitness, _mean_ratio, _separable_mean
+from .ratio import RatioWitness, _check_gains, _mean_ratio, _separable_mean
 from .tensor import Tensor, _records, add, matmul, no_grad, relu
 
 __all__ = [
@@ -359,7 +357,8 @@ def effective_scale(block, x):
     averaged over rows and features by its separable form. The outermost
     level cancels from it, so a one-level block's scale, mean(a)/c, needs
     no input and no forward: lambda for xSkip+LN, the mean skip gain for
-    wSkip+LN, 1/c for LN(x+cF).
+    wSkip+LN, 1/c for LN(x+cF). A gain entry of exactly zero on any level
+    raises SingularRatioError, as it does in the closed form.
     """
     scale = _input_free_scale(block)
     if scale is None:
@@ -376,6 +375,7 @@ def _input_free_scale(block):
         raise ContractError(f"effective scale is undefined for {c.label()}")
     if c.levels > 1:
         return None
+    _check_gains([p.gain.data for p in block.norms])
     return _separable_mean(block._a if block.w_skip is None else block.w_skip.data, block._c, (), ())
 
 
@@ -389,7 +389,7 @@ class ModelConfig:
     classes: int
 
     def __post_init__(self):
-        for name in ("depth", "d_in", "width", "hidden", "classes"):
+        for name in ("depth", "width", "hidden", "d_in", "classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         _check_doubles(_footprint(self), "the model")
@@ -429,9 +429,8 @@ class ResidualModel:
 
         A batch that would add more than MAX_DOUBLES to what the model
         holds raises ConfigError here, before any of it is allocated. On a
-        tape that counts one step's forward, backward() and SGD step
-        (``train()`` can hold two steps' tapes); without one, one block at
-        a time (see ``_footprint``)."""
+        tape that counts one step's forward, backward() and SGD step;
+        without one, one block at a time (see ``_footprint``)."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
         rows = math.prod(x.data.shape[:-1])
@@ -513,6 +512,16 @@ def _param_count(cfg):
     return cfg.d_in * w + w + cfg.depth * per_block + w * cfg.classes + cfg.classes
 
 
+def _layout(cfg):
+    """The shape of every array ``_read_model`` builds for a model of this
+    geometry: its parameters in declaration order, then the running mean
+    and variance of each batch norm."""
+    c, w, h = cfg.construction, cfg.width, cfg.hidden
+    block = [(w, h), (h,), (h, w), (w,)] + [(w,)] * (2 * c.levels + (c._lowered.a == "w"))
+    stats = [(w,)] * (2 * cfg.depth * c.levels if c.uses_bn else 0)
+    return [(cfg.d_in, w), (w,)] + block * cfg.depth + [(w, cfg.classes), (cfg.classes,)] + stats
+
+
 def _stats_count(cfg):
     """Doubles of batch-norm state a checkpoint carries: the running
     statistics and one mode per norm."""
@@ -551,15 +560,20 @@ def _footprint(cfg, rows=0, recorded=False):
 
 
 def save_model(model, path):
-    """Write a model checkpoint as a flat little-endian binary file."""
+    """Write a model checkpoint as a flat little-endian binary file.
+
+    A model whose arrays are not shaped as its config builds them, say
+    after one was replaced, raises ContractError before the file is
+    opened: its checkpoint would load as another model, or not at all."""
     cfg = model.config
     arrays = [p.data for _, p, _ in model.parameters()]
-    count = sum(a.size for a in arrays)
     bns = [p for block in model.blocks for p in block.norms if isinstance(p, BatchNormParams)]
     for p in bns:
         if p.mode not in _MODES:
             raise ContractError(f"unknown batch_norm mode {p.mode!r}")
         arrays += [p.running_mean, p.running_var]
+    if [a.shape for a in arrays] != _layout(cfg):
+        raise ContractError(f"the model's arrays are not shaped as its config {cfg} builds them")
     if bns:
         arrays.append(np.array([_MODES.index(p.mode) for p in bns], dtype=float))
     header = _HEADER.pack(
@@ -573,18 +587,11 @@ def save_model(model, path):
         cfg.width,
         cfg.hidden,
         cfg.classes,
-        count,
+        _param_count(cfg),
     )
     payload = [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
-    # non-blocking, so a FIFO is refused here instead of waiting for a reader
+    fd = _open_regular(path, os.O_WRONLY | os.O_CREAT)
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_NONBLOCK, 0o666)
-    except OSError as exc:
-        if exc.errno == errno.ENXIO:  # a FIFO with no reader, or a socket
-            raise OSError(f"{path}: not a regular file") from None
-        raise
-    try:
-        _check_regular(path, fd)
         # overwrite in place, header last: a save cut short reads back as
         # a bad magic, never as a mix of two models
         os.pwrite(fd, bytes(4), 0)
@@ -603,8 +610,8 @@ def load_model(path):
     the payload is read or anything is allocated; the payload is then
     read straight into the arrays, with no copy of the whole of it.
     """
-    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
-        size = _check_regular(path, fh.fileno()).st_size
+    with open(_open_regular(path, os.O_RDONLY), "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise FormatError(f"{path}: truncated header")
@@ -613,14 +620,6 @@ def load_model(path):
         if size != expected:
             raise FormatError(f"{path}: expected {expected} bytes, found {size}")
         return _read_model(cfg, fh, path), cfg
-
-
-def _check_regular(path, fd):
-    """The fstat of an open file; OSError unless it is a regular file."""
-    info = os.fstat(fd)
-    if not stat.S_ISREG(info.st_mode):
-        raise OSError(f"{path}: not a regular file")
-    return info
 
 
 def _read_header(path, head):

@@ -21,7 +21,7 @@ import sys
 from .blocks import ModelConfig, SkipConstruction, build_model, load_model, save_model
 from .data import DatasetSpec, gen_synthetic, load_cifar10
 from .diagnostics import decomposition_check, gradcheck_battery, gradient_norm_sweep
-from .errors import ConfigError, ContractError, DimensionError, FormatError
+from .errors import ConfigError, ContractError, DimensionError, FormatError, _open_regular
 from .training import TrainConfig, csv_text, curves_csv, matrix_csv, run_matrix, train, write_manifest
 
 DATA_DIR_ENV = "SKIPNORM_DATA_DIR"
@@ -87,25 +87,16 @@ def _train_config(args, construction, seed=0):
 
 def _check_writable(path):
     """Raise now the OSError that writing ``path`` after a run would raise:
-    a missing directory, a directory, no write access, or an existing
-    target that is not a regular file (a FIFO blocks the write, or the
-    manifest's read-back)."""
-    parent = os.path.dirname(path) or "."
+    an existing target is opened for writing, as the write will open it,
+    and closed untouched; a new one needs a directory it may create in."""
     try:
-        os.stat(parent)
-    except OSError as exc:  # the kernel's own errno: ENOENT, ENOTDIR, ...
-        raise OSError(exc.errno, exc.strerror, path) from None
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(parent):
-        code = errno.ENOTDIR
-    elif not (os.access(path, os.W_OK) if os.path.exists(path) else os.access(parent, os.W_OK | os.X_OK)):
-        code = errno.EACCES
-    elif os.path.exists(path) and not os.path.isfile(path):
-        raise OSError(f"{path}: not a regular file")
-    else:
-        return
-    raise OSError(code, os.strerror(code), path)
+        os.close(_open_regular(path, os.O_WRONLY))
+    except FileNotFoundError:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise  # a missing directory
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), path) from None
 
 
 def _check_outputs(args):
@@ -118,7 +109,7 @@ def _check_outputs(args):
 def _emit(args, text, extra_config=None, artifacts=None, wall_clock=None):
     """Write CSV to --out (with manifest) or to stdout."""
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(_open_regular(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), "w") as fh:
             fh.write(text)
         all_artifacts = {"csv": args.out}
         all_artifacts.update(artifacts or {})

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, _check_doubles, _check_seed
+from .errors import ConfigError, FormatError, _check_doubles, _check_seed, _open_regular
 
 __all__ = ["DatasetSpec", "Dataset", "gen_synthetic", "load_cifar10"]
 
@@ -19,6 +19,8 @@ __all__ = ["DatasetSpec", "Dataset", "gen_synthetic", "load_cifar10"]
 _RECORD = 3073
 _PIXELS = 3072
 _CIFAR_CLASSES = 10
+# a standard batch file holds 10,000 records; a larger one is refused unread
+_MAX_RECORDS = 10000
 
 
 @dataclass(frozen=True)
@@ -113,10 +115,15 @@ def gen_synthetic(spec):
 
 
 def _read_batch_file(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) == 0 or len(raw) % _RECORD != 0:
-        raise FormatError(f"{path}: length {len(raw)} is not a positive multiple of {_RECORD}")
+    with open(_open_regular(path, os.O_RDONLY), "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size == 0 or size % _RECORD != 0:
+            raise FormatError(f"{path}: length {size} is not a positive multiple of {_RECORD}")
+        if size > _MAX_RECORDS * _RECORD:
+            raise FormatError(f"{path}: {size // _RECORD} records, more than the {_MAX_RECORDS} of a batch file")
+        raw = fh.read(size)
+    if len(raw) != size:
+        raise FormatError(f"{path}: the file ended before its {size} bytes did")
     records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _RECORD)
     labels = records[:, 0].astype(np.int64)
     if labels.max() > 9:
@@ -143,11 +150,14 @@ def load_cifar10(path, subset=2000, seed=0):
     for testing, takes a seeded stratified subset of each (the test
     subset is a fifth of ``subset``, at least 10 and at most the test
     file), scales pixels to [0,1], and standardizes per channel with
-    statistics of the training subset.
+    statistics of the training subset. Both subsets are charged to
+    MAX_DOUBLES, a row of pixels and a label each, before any file is
+    listed; a batch file of more than 10,000 records is refused unread.
     """
     _check_seed(seed)
     if subset < _CIFAR_CLASSES:
         raise ConfigError(f"subset must cover all {_CIFAR_CLASSES} classes, got {subset}")
+    _check_doubles((subset + max(_CIFAR_CLASSES, subset // 5)) * _RECORD, "the CIFAR-10 subsets")
     train_files = sorted(
         os.path.join(path, f) for f in os.listdir(path)
         if f.startswith("data_batch_") and f.endswith(".bin")

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import SkipConstruction, SkipKind, _input_free_scale, build_block
-from .errors import ContractError, _check_seed
+from .blocks import ModelConfig, SkipConstruction, SkipKind, _footprint, _input_free_scale, build_block
+from .errors import ContractError, _check_doubles, _check_seed
 from .normalization import BatchNormParams, LayerNormParams, batch_norm, layer_norm
 from .ratio import _mean_ratio, ratio_general, unroll_decompose
 from .tensor import (
@@ -197,11 +197,14 @@ def amplification_probe(construction, depth, width, seed=0):
     depth+1 block boundaries (index 0 is the stack input, index depth the stack
     output). With branches at zero the scaled kinds multiply the
     gradient by exactly lambda per block, so boundary k carries
-    lambda^(depth-k) per coordinate.
+    lambda^(depth-k) per coordinate. The stack and its recorded 2-row
+    forward are sized, as a model of width-wide projections, before any
+    block is drawn.
     """
     if depth < 1:
         raise ContractError("amplification probe needs depth >= 1")
     _check_seed(seed)
+    _check_doubles(_footprint(ModelConfig(construction, depth, width, width, width, 1), 2, True), "the probe")
     rng = np.random.default_rng(seed)
     blocks = []
     for _ in range(depth):

@@ -1,6 +1,10 @@
-"""Exception types shared across the library, and the seed and size checks."""
+"""Exception types shared across the library, the seed and size checks,
+and the one rule by which the library opens a file a caller names."""
 
+import errno
 import numbers
+import os
+import stat
 
 __all__ = ["DimensionError", "ContractError", "ConfigError", "FormatError", "SingularRatioError"]
 
@@ -43,3 +47,20 @@ def _check_doubles(count, what):
     float64 values; run it on a closed-form count, before allocating."""
     if count > MAX_DOUBLES:
         raise ConfigError(f"{what} would hold {count:.3g} doubles, more than the {MAX_DOUBLES} allowed")
+
+
+def _open_regular(path, flags):
+    """The fd of ``os.open(path, flags)``, opened without blocking, or
+    OSError "<path>: not a regular file" for a FIFO, socket, device or
+    directory, whose read or write could wait or mislead; the kernel's own
+    refusals, such as EISDIR for a directory opened to write, keep theirs."""
+    try:
+        fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
+    except OSError as exc:
+        if exc.errno == errno.ENXIO:  # a FIFO with no reader, or a socket
+            raise OSError(f"{path}: not a regular file") from None
+        raise
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise OSError(f"{path}: not a regular file")
+    return fd

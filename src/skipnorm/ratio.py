@@ -119,9 +119,9 @@ def unroll_decompose(witness, x, f):
     return coef_x, coef_f, const
 
 
-def _check_gains(witness):
+def _check_gains(gains):
     """SingularRatioError if a gain of any level has an exactly-zero entry."""
-    for j, w in enumerate(witness.gains):
+    for j, w in enumerate(gains):
         if (w == 0.0).any():
             raise SingularRatioError(f"gain of level {j + 1} has an exactly-zero entry")
 
@@ -133,7 +133,7 @@ def ratio_general(witness):
     witness. Raises if any gain entry is exactly zero, since the ratio
     is then undefined rather than silently infinite.
     """
-    _check_gains(witness)
+    _check_gains(witness.gains)
     # both are rebound, never written in place, so they start as one array
     ratio = running = np.ones((witness.sigmas[0].shape[0], witness.gains[0].shape[0]))
     # sum over the L-1 inner products sigma_j / (c * w_j), innermost first
@@ -147,7 +147,7 @@ def _mean_ratio(witness):
     """``ratio_general(witness).mean()`` from the separable form in the
     module docstring, without building the [batch, d] ratio. Raises as
     ``ratio_general`` does on a zero gain entry of any level."""
-    _check_gains(witness)
+    _check_gains(witness.gains)
     return _separable_mean(witness.a, witness.c, witness.sigmas[:-1], witness.gains[:-1])
 
 

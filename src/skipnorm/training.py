@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .blocks import ModelConfig, _check_regular, build_model
-from .errors import ConfigError, ContractError, DimensionError, _check_seed
+from .blocks import ModelConfig, build_model
+from .errors import ConfigError, ContractError, DimensionError, _check_seed, _open_regular
 from .tensor import Tensor, _check_labels, no_grad, softmax_cross_entropy
 
 __all__ = [
@@ -236,6 +236,7 @@ def train(cfg, data):
                     break
                 loss.backward()
                 sgd_step(params, velocity, lr)
+                del loss  # its tape, before the next forward builds one
                 loss_sum += value * len(idx)
                 seen += len(idx)
         if seen == 0 and not blew_up:
@@ -381,19 +382,19 @@ def _environment():
 def write_manifest(path, config_dict, artifact_paths, wall_clock=None):
     """Write a JSON run manifest: config echo, sha256 of each artifact and
     the ``environment`` block (Python, numpy and BLAS versions, BLAS
-    thread variables, CPU count). An artifact that is not a regular file
-    raises OSError before it is read: a FIFO's read would block."""
+    thread variables, CPU count). An artifact or a manifest path that is
+    not a regular file raises OSError before it is read or written: a
+    FIFO would block."""
     artifacts = {}
     for name, p in artifact_paths.items():
         digest, chunk = hashlib.sha256(), bytearray(1 << 18)
-        with open(p, "rb", opener=lambda file, flags: os.open(file, flags | os.O_NONBLOCK)) as fh:
-            _check_regular(p, fh.fileno())
+        with open(_open_regular(p, os.O_RDONLY), "rb") as fh:
             while n := fh.readinto(chunk):  # in chunks: a checkpoint is never held whole
                 digest.update(memoryview(chunk)[:n])
         artifacts[name] = {"path": str(p), "sha256": digest.hexdigest()}
     manifest = {"config": config_dict, "artifacts": artifacts, "environment": _environment()}
     if wall_clock is not None:
         manifest["wall_clock_seconds"] = wall_clock
-    with open(path, "w") as fh:
+    with open(_open_regular(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -597,7 +597,7 @@ class TestCheckpoints:
             blocks,
             "os",
             SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=size, st_mode=os.fstat(fd).st_mode),
-                            preadv=os.preadv, sysconf=os.sysconf, open=os.open, O_NONBLOCK=os.O_NONBLOCK),
+                            preadv=os.preadv, sysconf=os.sysconf, O_RDONLY=os.O_RDONLY),
         )
         with pytest.raises(FormatError, match="ended before its payload"):
             load_model(path)
@@ -936,6 +936,41 @@ class TestCheckpointProperty:
         bns = batch_norms(model)
         stats = [s for p in bns for s in (p.running_mean, p.running_var)]
         assert blocks._stats_count(cfg) == sum(s.size for s in stats) + len(bns)  # one mode each
+        # save_model holds a model to these shapes before it opens its file
+        assert blocks._layout(cfg) == [p.data.shape for _, p, _ in model.parameters()] + [s.shape for s in stats]
+
+
+class TestSaveRefusesAModelItsConfigDoesNotDescribe:
+    """A model changed after it was built, so that its arrays are no longer
+    shaped as its config builds them, is refused before its file is opened:
+    its checkpoint would not load, or would load as another model."""
+
+    CFG = ModelConfig(SkipConstruction.parse("2rskip-ln"), 2, 2, 6, 5, 3)
+
+    def swapped_norm(self):
+        model = build_model(self.CFG, 0)
+        model.blocks[0].norms[0] = LayerNormParams.create(9)
+        return model
+
+    def shifted_biases(self):
+        # the same total, so the header's parameter count cannot tell
+        model = build_model(self.CFG, 0)
+        model.in_b.data = np.arange(4.0)
+        model.blocks[1].branch.b1.data = np.zeros(7)
+        assert model.param_count() == blocks._param_count(self.CFG)
+        return model
+
+    def resized_statistic(self):
+        model = build_model(replace(self.CFG, construction=SkipConstruction.parse("2rskip-bn")), 0)
+        batch_norms(model)[1].running_var = np.ones(5)
+        return model
+
+    @pytest.mark.parametrize("change", ["swapped_norm", "shifted_biases", "resized_statistic"])
+    def test_refused_before_the_file_is_opened(self, tmp_path, change):
+        path = tmp_path / "model.bin"
+        with pytest.raises(ContractError, match="not shaped as its config"):
+            save_model(getattr(self, change)(), path)
+        assert not path.exists()
 
 
 class TestCheckpointHoldsTheWholeModel:

@@ -434,6 +434,32 @@ def test_an_oversize_allocation_exits_2_before_it_is_made(argv):
     assert proc.stderr.startswith("error: ") and f"more than the {MAX_DOUBLES} allowed" in proc.stderr
 
 
+def _sparse_batch(path):
+    """A batch file of a million records, 3,073,000,000 bytes of one hole."""
+    with open(path, "wb") as fh:
+        fh.truncate(1_000_000 * 3073)
+
+
+@pytest.mark.skipif(not (hasattr(os, "mkfifo") and hasattr(os, "fork")), reason="needs named pipes and fork")
+@pytest.mark.parametrize("make, error", [
+    (lambda path: os.mkfifo(path), "not a regular file"),
+    (_sparse_batch, "1000000 records, more than the 10000 of a batch file"),
+], ids=["fifo", "oversize"])
+def test_a_cifar_batch_file_that_cannot_be_read_whole_exits_2_at_once(tmp_path, make, error):
+    """In a child process with a timeout and a capped address space, so a
+    read that blocks or holds the whole file fails instead of hanging or
+    filling memory."""
+    batch = write_cifar_dir(tmp_path) / "data_batch_1.bin"
+    batch.unlink()
+    make(batch)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"), OPENBLAS_NUM_THREADS="1")
+    argv = ["train", "--dataset", "cifar10", "--data-path", str(tmp_path), "--subset", "20"] + TINY
+    proc = subprocess.run([sys.executable, "-m", "skipnorm.cli"] + argv, env=env, capture_output=True, text=True,
+                          timeout=30, preexec_fn=_address_space_cap)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {batch}: {error}\n"
+
+
 class TestOutputsCheckedBeforeTraining:
     """An --out or --checkpoint target of train or matrix that cannot be
     written exits 2 before any training, with the error line that writing
@@ -528,6 +554,14 @@ class TestOutputsCheckedBeforeDiagnostics:
         (tmp_path / "t.csv.manifest.json").mkdir()
         assert_exit_2(self.COMMANDS[command] + [str(tmp_path / "t.csv")], capsys)
         assert not (tmp_path / "t.csv").exists()
+
+
+def test_an_existing_target_is_opened_to_check_it_and_left_untouched(tmp_path):
+    target = tmp_path / "old.csv"
+    target.write_bytes(b"kept")
+    os.utime(target, (1, 1))
+    cli._check_writable(str(target))
+    assert target.read_bytes() == b"kept" and target.stat().st_mtime == 1
 
 
 def test_gradnorm_reads_a_checkpoint_it_could_not_write(tmp_path, capsys, monkeypatch):

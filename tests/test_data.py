@@ -186,6 +186,28 @@ class TestBatchFiles:
         with pytest.raises(ConfigError, match="class"):
             load_cifar10(tmp_path, subset=200)
 
+    def test_a_batch_file_of_more_than_10000_records_is_refused(self, tmp_path):
+        make_cifar_dir(tmp_path)
+        with open(tmp_path / "data_batch_2.bin", "wb") as fh:
+            fh.truncate(10_001 * RECORD)  # all of it a hole
+        with pytest.raises(FormatError, match="data_batch_2.bin: 10001 records, more than the 10000"):
+            load_cifar10(tmp_path, subset=50)
+
+    def test_a_directory_named_as_a_batch_file_is_refused(self, tmp_path):
+        make_cifar_dir(tmp_path)
+        (tmp_path / "data_batch_2.bin").mkdir()
+        with pytest.raises(OSError, match="data_batch_2.bin: not a regular file"):
+            load_cifar10(tmp_path, subset=50)
+
+    def test_both_subsets_are_charged_before_any_file_is_listed(self, tmp_path):
+        # (subset + subset // 5) rows of 3072 pixels and a label: 5458 rows fit
+        # in MAX_DOUBLES, 5460 do not
+        assert (4549 + 909) * RECORD <= MAX_DOUBLES < (4550 + 910) * RECORD
+        with pytest.raises(FileNotFoundError):
+            load_cifar10(tmp_path / "missing", subset=4549)
+        with pytest.raises(ConfigError, match="the CIFAR-10 subsets would hold 1.68e\\+07 doubles"):
+            load_cifar10(tmp_path / "missing", subset=4550)
+
 
 class TestCorruptedBatchFiles:
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -662,3 +662,19 @@ class TestDecompositionCheckInputs:
     def test_amplification_probe_refuses_a_bad_width(self, width):
         with pytest.raises(ConfigError, match="width"):
             amplification_probe(SkipConstruction(SkipKind.XSKIP, lam=2.0), depth=2, width=width)
+
+    def test_amplification_probe_sizes_its_whole_stack_before_any_draw(self, monkeypatch):
+        # at a limit that fits a depth-1 probe, and so each of its blocks, 2,000 blocks are refused
+        from skipnorm import diagnostics, errors
+        from skipnorm.blocks import _footprint
+
+        construction = SkipConstruction.parse("0.5xskip")
+        monkeypatch.setattr(errors, "MAX_DOUBLES", _footprint(ModelConfig(construction, 1, 8, 8, 8, 1), 2, True))
+        assert len(amplification_probe(construction, 1, 8)) == 2
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(diagnostics, "build_block", no_draws)
+        with pytest.raises(ConfigError, match="allowed"):
+            amplification_probe(construction, 2000, 8)

@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from skipnorm import (
     ContractError,
+    ModelConfig,
     RatioWitness,
     SingularRatioError,
     SkipConstruction,
     SkipKind,
     Tensor,
     build_block,
+    build_model,
     effective_scale,
+    effective_scale_sweep,
     ratio_general,
     unroll_decompose,
 )
@@ -304,6 +307,23 @@ class TestSeparableMean:
         with pytest.raises(SingularRatioError) as separable:
             _mean_ratio(wit)
         assert str(separable.value) == str(full.value) == f"gain of level {level} has an exactly-zero entry"
+
+    # a one-level block's scale needs no forward, but it reads the gains the
+    # closed form refuses, as a several-level block's witness does
+    @pytest.mark.parametrize("token, level", [("2xskip-ln", 1), ("1rskip-ln", 1), ("wskip-ln", 1),
+                                              ("contracted-f-ln:3", 1), ("2rskip-ln", 1), ("2rskip-ln", 2)])
+    def test_a_zero_gain_raises_in_the_effective_scale_as_in_the_closed_form(self, token, level):
+        model = build_model(ModelConfig(SkipConstruction.parse(token), 2, 3, 6, 4, 2), seed=0)
+        block = model.blocks[1]
+        block.norms[level - 1].gain.data[2] = 0.0
+        rows = np.random.default_rng(0).normal(size=(5, 3))
+        x = Tensor(rows @ model.in_w.data)
+        _, _, wit = block.witness(x)
+        message = f"gain of level {level} has an exactly-zero entry"
+        for scale in (lambda: ratio_general(wit), lambda: _mean_ratio(wit), lambda: effective_scale(block, x),
+                      lambda: effective_scale_sweep(model, [rows])):
+            with pytest.raises(SingularRatioError, match=message):
+                scale()
 
 
 LN_KINDS = [SkipKind.XSKIP_LN, SkipKind.RSKIP_LN, SkipKind.WSKIP_LN, SkipKind.CONTRACTED_F_LN]

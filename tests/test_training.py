@@ -41,6 +41,7 @@ from skipnorm import (
     train,
     write_manifest,
 )
+from skipnorm.blocks import _footprint, _param_count
 
 PLAIN = SkipConstruction(SkipKind.PLAIN)
 XSKIP2 = SkipConstruction(SkipKind.XSKIP, lam=2.0)
@@ -173,6 +174,24 @@ class TestTrain:
         data = tiny_data()
         result, _ = train(tiny_cfg(XSKIP_LN2, epochs=10), data)
         assert result.train_loss[-1] < result.train_loss[0]
+
+    @pytest.mark.parametrize("token", ["plain", "wskip-ln", "2rskip-ln", "2rskip-bn"])
+    def test_a_run_holds_no_more_than_one_step_is_charged(self, token):
+        # each step's tape is dropped before the next forward builds one, so
+        # beyond the model, its velocity and the epoch snapshot a run adds at
+        # most what project_in charges one recorded step of a batch
+        data = gen_synthetic(DatasetSpec("spiral", classes=3, n_train=256, n_test=8, seed=0))
+        construction = SkipConstruction.parse(token)
+        cfg = ModelConfig(construction, 8, data.d_in, 64, 64, data.classes)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            train(TrainConfig(construction, depth=8, width=64, hidden=64, epochs=2, batch_size=64, seed=0), data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held = 8 * (_footprint(cfg) + 2 * _param_count(cfg))
+        assert peak - held <= 8 * _footprint(cfg, 64, recorded=True)
 
     def test_batch_too_large_for_dataset_raises(self):
         data = tiny_data()  # a spec needs a point of each class in each split
@@ -457,6 +476,26 @@ class TestManifestDigests:
                               timeout=30)
         assert proc.returncode == 1 and proc.stderr == f"refused: {fifo}: not a regular file\n"
         assert not (tmp_path / "table.csv.manifest.json").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_fifo_manifest_path_is_refused_at_once(self, tmp_path):
+        """In a child process with a timeout, so a write that blocks fails
+        the test instead of hanging the suite."""
+        fifo = tmp_path / "run.manifest.json"
+        os.mkfifo(fifo)
+        (tmp_path / "table.csv").write_text("a\n")
+        code = (
+            "import sys\n"
+            "from skipnorm import write_manifest\n"
+            "try:\n"
+            "    write_manifest(sys.argv[1], {}, {'csv': sys.argv[2]})\n"
+            "except OSError as exc:\n"
+            "    sys.exit(f'refused: {exc}')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code, str(fifo), str(tmp_path / "table.csv")], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1 and proc.stderr == f"refused: {fifo}: not a regular file\n"
 
     def test_hashing_never_holds_an_artifact_whole(self, tmp_path):
         size = 8 << 20
