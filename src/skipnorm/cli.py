@@ -7,10 +7,13 @@ Subcommands:
   ratio-check  decomposition/closed-form ratio verification table, CSV
   gradcheck    finite-difference battery over all ops and constructions
 
-Every command accepts --seed and is bit-reproducible: rerunning with the
-same arguments yields byte-identical CSV. Commands that take --out also
-write ``<out>.manifest.json`` with the full option echo and sha256 of
-each artifact.
+Each flag is declared once, in one of four groups that the subcommands
+inherit: model, data, train, and the --seed and --out that every command
+takes. Every command is bit-reproducible: rerunning with the same
+arguments yields byte-identical CSV. With --out, the CSV goes there and
+``<out>.manifest.json`` records the full option echo and the sha256 of
+each artifact; both targets are checked before any work, so one that
+cannot be written exits 2 at once.
 """
 
 import argparse
@@ -99,13 +102,6 @@ def _check_writable(path):
             raise OSError(errno.EACCES, os.strerror(errno.EACCES), path) from None
 
 
-def _check_outputs(args):
-    """Check ``--out`` and its manifest before a command does any work."""
-    if args.out:
-        _check_writable(args.out)
-        _check_writable(args.out + ".manifest.json")
-
-
 def _emit(args, text, extra_config=None, artifacts=None, wall_clock=None):
     """Write CSV to --out (with manifest) or to stdout."""
     if args.out:
@@ -123,7 +119,6 @@ def _emit(args, text, extra_config=None, artifacts=None, wall_clock=None):
 
 def _cmd_train(args):
     construction = SkipConstruction.parse(args.construction, args.lam)
-    _check_outputs(args)
     if args.checkpoint:
         _check_writable(args.checkpoint)
     data = _make_dataset(args)
@@ -150,7 +145,6 @@ def _cmd_matrix(args):
     tokens = args.construction.split(",")
     lams = _parse_lams(args.lam) if args.lam is not None else None
     cells = _expand_cells(tokens, lams)
-    _check_outputs(args)
     data = _make_dataset(args)
     base = _train_config(args, cells[0])
     seeds = list(range(args.seed, args.seed + args.runs))
@@ -166,7 +160,6 @@ def _cmd_matrix(args):
 
 
 def _cmd_gradnorm(args):
-    _check_outputs(args)  # --checkpoint is read, not written
     data = _make_dataset(args)
     if args.checkpoint:
         given = [a.option_strings[0] for a in _MODEL_FLAGS if getattr(args, a.dest) != a.default]
@@ -193,7 +186,6 @@ def _cmd_gradnorm(args):
 
 def _cmd_ratio_check(args):
     lams = _parse_lams("1,2,3,4" if args.lam is None else args.lam)
-    _check_outputs(args)
     rows = decomposition_check(lams, width=args.width, instances=args.samples, seed=args.seed)
     text = csv_text(("lambda", "max_reconstruction_error", "max_ratio_discrepancy"), rows)
     if args.out:
@@ -203,7 +195,6 @@ def _cmd_ratio_check(args):
 
 
 def _cmd_gradcheck(args):
-    _check_outputs(args)
     rows = gradcheck_battery(instances=args.samples, seed=args.seed)
     table = [(target, err, tol, "pass" if passed else "FAIL") for target, err, tol, passed in rows]
     text = csv_text(("target", "max_rel_err", "tol", "status"), table)
@@ -213,38 +204,35 @@ def _cmd_gradcheck(args):
     return 0 if all(passed for *_, passed in rows) else 1
 
 
-def _add_model_flags(p):
-    """Add the flags that define a model; returns their argparse actions."""
-    return [
-        p.add_argument("--construction", default="rskip-ln",
-                       help="construction token, e.g. plain, 2xskip, xskip-ln, 2rskip-ln, contracted-f-ln:3"),
-        p.add_argument("--lambda", dest="lam", default=None,
-                       help="shortcut scale; matrix accepts a comma list"),
-        p.add_argument("--depth", type=int, default=16, help="number of residual blocks"),
-        p.add_argument("--width", type=int, default=64, help="block feature width"),
-        p.add_argument("--hidden", type=int, default=64, help="branch hidden width"),
-    ]
-
-
+# each flag group is declared once; a subcommand inherits the groups it takes
+_MODEL = argparse.ArgumentParser(add_help=False)
+_MODEL.add_argument("--construction", default="rskip-ln",
+                    help="construction token, e.g. plain, 2xskip, xskip-ln, 2rskip-ln, contracted-f-ln:3")
+_MODEL.add_argument("--lambda", dest="lam", default=None, help="shortcut scale; matrix accepts a comma list")
+_MODEL.add_argument("--depth", type=int, default=16, help="number of residual blocks")
+_MODEL.add_argument("--width", type=int, default=64, help="block feature width")
+_MODEL.add_argument("--hidden", type=int, default=64, help="branch hidden width")
 # the model flags with their defaults: a checkpoint leaves each at its default
-_MODEL_FLAGS = _add_model_flags(argparse.ArgumentParser(add_help=False))
+_MODEL_FLAGS = _MODEL._actions
 
+_DATA = argparse.ArgumentParser(add_help=False)
+_DATA.add_argument("--dataset", choices=("spiral", "moons", "cifar10"), default="spiral")
+_DATA.add_argument("--data-path", default=None, help=f"CIFAR-10 binary directory (default ${DATA_DIR_ENV})")
+_DATA.add_argument("--subset", type=int, default=2000, help="cifar10 training subset size")
+_DATA.add_argument("--classes", type=int, default=3, help="spiral class count")
+_DATA.add_argument("--noise", type=float, default=0.2, help="synthetic noise level")
+_DATA.add_argument("--train-n", type=int, default=512, help="synthetic training samples")
+_DATA.add_argument("--test-n", type=int, default=512, help="synthetic test samples")
 
-def _add_data_flags(p):
-    p.add_argument("--dataset", choices=("spiral", "moons", "cifar10"), default="spiral")
-    p.add_argument("--data-path", default=None,
-                   help=f"CIFAR-10 binary directory (default ${DATA_DIR_ENV})")
-    p.add_argument("--subset", type=int, default=2000, help="cifar10 training subset size")
-    p.add_argument("--classes", type=int, default=3, help="spiral class count")
-    p.add_argument("--noise", type=float, default=0.2, help="synthetic noise level")
-    p.add_argument("--train-n", type=int, default=512, help="synthetic training samples")
-    p.add_argument("--test-n", type=int, default=512, help="synthetic test samples")
+_TRAIN = argparse.ArgumentParser(add_help=False)
+_TRAIN.add_argument("--epochs", type=int, default=30)
+_TRAIN.add_argument("--batch-size", type=int, default=64)
+_TRAIN.add_argument("--lr", type=float, default=0.1)
 
-
-def _add_train_flags(p):
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=0.1)
+_RUN = argparse.ArgumentParser(add_help=False)
+_RUN.add_argument("--seed", type=int, default=0,
+                  help="random seed; for matrix, the dataset seed and the first of its --runs seeds")
+_RUN.add_argument("--out", default=None, help="write the CSV here, with <out>.manifest.json beside it")
 
 
 def build_parser():
@@ -254,45 +242,27 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="run one training configuration")
-    _add_model_flags(p)
-    _add_data_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="loss-curve CSV path")
+    p = sub.add_parser("train", parents=[_MODEL, _DATA, _TRAIN, _RUN], help="run one training configuration")
     p.add_argument("--checkpoint", default=None, help="save the trained model here")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("matrix", help="construction x seed comparison sweep")
-    _add_model_flags(p)
-    _add_data_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="first seed; also the dataset seed")
+    p = sub.add_parser("matrix", parents=[_MODEL, _DATA, _TRAIN, _RUN], help="construction x seed comparison sweep")
     p.add_argument("--runs", type=int, default=5, help="seeds per construction")
-    p.add_argument("--out", default=None, help="results CSV path")
     p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("gradnorm", help="per-block gradient-norm sweep")
-    _add_model_flags(p)
-    _add_data_flags(p)
+    p = sub.add_parser("gradnorm", parents=[_MODEL, _DATA, _RUN], help="per-block gradient-norm sweep")
     p.add_argument("--checkpoint", default=None, help="model checkpoint to sweep (else untrained)")
     p.add_argument("--samples", type=int, default=2000, help="held-out samples to average over")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gradnorm)
 
-    p = sub.add_parser("ratio-check", help="decomposition and closed-form ratio verification")
+    p = sub.add_parser("ratio-check", parents=[_RUN], help="decomposition and closed-form ratio verification")
     p.add_argument("--lambda", dest="lam", default=None, help="comma list of recursion depths (default 1,2,3,4)")
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--samples", type=int, default=100, help="random instances per depth")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_ratio_check)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient battery")
+    p = sub.add_parser("gradcheck", parents=[_RUN], help="finite-difference gradient battery")
     p.add_argument("--samples", type=int, default=20, help="instances per case")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser
@@ -301,6 +271,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.out:  # both targets, before any work; gradnorm only reads its --checkpoint
+            _check_writable(args.out)
+            _check_writable(args.out + ".manifest.json")
         return args.func(args)
     except (ConfigError, ContractError, DimensionError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

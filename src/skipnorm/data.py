@@ -114,7 +114,8 @@ def gen_synthetic(spec):
     return Dataset(spec.classes, x_tr, y_tr, x_te, y_te)
 
 
-def _read_batch_file(path):
+def _read_labels(path):
+    """The label bytes of one batch file, read whole and dropped but for its labels."""
     with open(_open_regular(path, os.O_RDONLY), "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size == 0 or size % _RECORD != 0:
@@ -124,11 +125,28 @@ def _read_batch_file(path):
         raw = fh.read(size)
     if len(raw) != size:
         raise FormatError(f"{path}: the file ended before its {size} bytes did")
-    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _RECORD)
-    labels = records[:, 0].astype(np.int64)
+    labels = np.frombuffer(raw, dtype=np.uint8)[::_RECORD].astype(np.int64)
     if labels.max() > 9:
         raise FormatError(f"{path}: label byte {int(labels.max())} out of range 0..9")
-    return labels, records[:, 1:]
+    return labels
+
+
+def _read_rows(paths, labels, idx):
+    """Pixel rows ``idx`` of the records of ``paths`` in file order, whose
+    labels are ``labels``: each chosen record is read on its own, and one
+    cut short or with another label byte than the first pass saw raises."""
+    rows = np.empty((len(idx), _PIXELS), dtype=np.uint8)
+    start = 0
+    for path, y in zip(paths, labels):
+        with open(_open_regular(path, os.O_RDONLY), "rb") as fh:
+            for r in np.nonzero((idx >= start) & (idx < start + len(y)))[0]:
+                k = int(idx[r]) - start
+                record = os.pread(fh.fileno(), _RECORD, k * _RECORD)
+                if len(record) != _RECORD or record[0] != y[k]:
+                    raise FormatError(f"{path}: record {k} changed after its label was read")
+                rows[r] = np.frombuffer(record, dtype=np.uint8, offset=1)
+        start += len(y)
+    return rows
 
 
 def _stratified_pick(rng, labels, total, classes, what):
@@ -153,6 +171,10 @@ def load_cifar10(path, subset=2000, seed=0):
     statistics of the training subset. Both subsets are charged to
     MAX_DOUBLES, a row of pixels and a label each, before any file is
     listed; a batch file of more than 10,000 records is refused unread.
+    A first pass keeps only each file's labels, one file in memory at a
+    time, and a second reads just the chosen records, so the peak is
+    about one batch file's bytes plus the subsets, however many files
+    there are.
     """
     _check_seed(seed)
     if subset < _CIFAR_CLASSES:
@@ -168,18 +190,17 @@ def load_cifar10(path, subset=2000, seed=0):
     if not os.path.exists(test_file):
         raise FormatError(f"{test_file}: missing")
 
-    parts = [_read_batch_file(f) for f in train_files]
-    y_tr = np.concatenate([p[0] for p in parts])
-    x_tr = np.concatenate([p[1] for p in parts])
-    y_te, x_te = _read_batch_file(test_file)
+    train_labels = [_read_labels(f) for f in train_files]
+    y_tr = np.concatenate(train_labels)
+    y_te = _read_labels(test_file)
 
     test_subset = min(max(_CIFAR_CLASSES, subset // 5), len(y_te))
     rng = np.random.default_rng(seed)
     tr_idx = _stratified_pick(rng, y_tr, subset, _CIFAR_CLASSES, "train subset")
     te_idx = _stratified_pick(rng, y_te, test_subset, _CIFAR_CLASSES, "test subset")
 
-    x_tr = x_tr[tr_idx].astype(np.float64) / 255.0
-    x_te = x_te[te_idx].astype(np.float64) / 255.0
+    x_tr = _read_rows(train_files, train_labels, tr_idx).astype(np.float64) / 255.0
+    x_te = _read_rows([test_file], [y_te], te_idx).astype(np.float64) / 255.0
     # channel-planar layout: columns [1024c, 1024(c+1)) hold channel c
     chan_tr = x_tr.reshape(-1, 3, _PIXELS // 3)
     mean = chan_tr.mean(axis=(0, 2))

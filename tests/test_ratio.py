@@ -130,6 +130,16 @@ class TestWitnessValidation:
         with pytest.raises(ContractError):
             unroll_decompose(wit, np.zeros((2, 5)), np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("field, values", [
+        ("gains", (np.ones(5), np.ones(1))),
+        ("gains", (np.ones(5), np.ones(4))),
+        ("sigmas", (np.ones(3), np.ones(4))),
+        ("sigmas", (np.ones((3, 1)), np.ones((3, 1)))),
+    ], ids=["width-1-inner-gain", "width-4-inner-gain", "3-and-4-row-sigmas", "2-d-sigma"])
+    def test_level_shapes_must_agree(self, field, values):
+        with pytest.raises(ContractError, match="share one 1-D shape"):
+            replace(whitened_witness(2, batch=3, d=5), **{field: values})
+
 
 class TestReconstruction:
     def test_single_level_hand_computed(self):
