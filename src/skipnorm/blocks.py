@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_doubles, _check_seed, _open_regular
+from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_count, _check_doubles, _open_regular
 from .normalization import BatchNormParams, LayerNormParams, _combine_norm, combine_norm
 from .ratio import RatioWitness, _check_gains, _mean_ratio, _separable_mean
 from .tensor import Tensor, _records, add, matmul, no_grad, relu
@@ -211,8 +211,8 @@ class AffineReluBranch:
     def init(cls, d, hidden, rng):
         """Fan-in-scaled normal init; relu layer gets the factor-2 variance
         and the output layer the damping above."""
-        if d < 1 or hidden < 1:
-            raise ConfigError(f"branch widths must be >= 1, got d={d}, hidden={hidden}")
+        _check_count(d, "width", 1)
+        _check_count(hidden, "hidden width", 1)
         return cls(
             w1=Tensor(rng.normal(0.0, np.sqrt(2.0 / d), (d, hidden)), requires_grad=True),
             b1=Tensor(np.zeros(hidden), requires_grad=True),
@@ -390,8 +390,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("depth", "width", "hidden", "d_in", "classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            _check_count(getattr(self, name), name, 1)
         _check_doubles(_footprint(self), "the model")
 
 
@@ -451,7 +450,10 @@ class ResidualModel:
             p.zero_grad()
 
     def set_norm_mode(self, mode):
-        """Switch every batch-norm instance between training/inference."""
+        """Switch every batch-norm instance between training/inference;
+        any other mode raises ContractError before a norm is touched."""
+        if mode not in _MODES:
+            raise ContractError(f"unknown batch_norm mode {mode!r}")
         for block in self.blocks:
             for p in block.norms:
                 if isinstance(p, BatchNormParams):
@@ -480,7 +482,7 @@ def build_model(cfg, seed):
     creation consumes no random draws, so constructions differing only
     in their normalization share branch initializations under one seed.
     """
-    _check_seed(seed)
+    _check_count(seed, "seed")
     rng = np.random.default_rng(seed)
     c = cfg.construction
     in_w = Tensor(rng.normal(0.0, np.sqrt(1.0 / cfg.d_in), (cfg.d_in, cfg.width)), requires_grad=True)

@@ -118,11 +118,10 @@ def _emit(args, text, extra_config=None, artifacts=None, wall_clock=None):
 
 
 def _cmd_train(args):
-    construction = SkipConstruction.parse(args.construction, args.lam)
+    cfg = _train_config(args, SkipConstruction.parse(args.construction, args.lam), args.seed)
     if args.checkpoint:
         _check_writable(args.checkpoint)
     data = _make_dataset(args)
-    cfg = _train_config(args, construction, args.seed)
     result, model = train(cfg, data)
     artifacts = {}
     if args.checkpoint:
@@ -145,8 +144,8 @@ def _cmd_matrix(args):
     tokens = args.construction.split(",")
     lams = _parse_lams(args.lam) if args.lam is not None else None
     cells = _expand_cells(tokens, lams)
-    data = _make_dataset(args)
     base = _train_config(args, cells[0])
+    data = _make_dataset(args)
     seeds = list(range(args.seed, args.seed + args.runs))
 
     def progress(r):

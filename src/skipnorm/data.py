@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, _check_doubles, _check_seed, _open_regular
+from .errors import ConfigError, FormatError, _check_count, _check_doubles, _open_regular
 
 __all__ = ["DatasetSpec", "Dataset", "gen_synthetic", "load_cifar10"]
 
@@ -35,15 +35,14 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
+        _check_count(self.seed, "seed")
         if self.source not in ("spiral", "moons"):
             raise ConfigError(f"unknown dataset source {self.source!r}; CIFAR-10 loads through load_cifar10")
-        if self.classes < 2:
-            raise ConfigError("need at least 2 classes")
+        _check_count(self.classes, "classes", 2)
         if self.source == "moons" and self.classes != 2:
             raise ConfigError("moons is a two-class dataset")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ConfigError("train and test sample counts must be positive")
+        _check_count(self.n_train, "n_train", 1)
+        _check_count(self.n_test, "n_test", 1)
         if self.classes > min(self.n_train, self.n_test):
             raise ConfigError(f"{self.classes} classes need at least as many train and test samples")
         if not (math.isfinite(self.noise) and self.noise >= 0):
@@ -176,9 +175,8 @@ def load_cifar10(path, subset=2000, seed=0):
     about one batch file's bytes plus the subsets, however many files
     there are.
     """
-    _check_seed(seed)
-    if subset < _CIFAR_CLASSES:
-        raise ConfigError(f"subset must cover all {_CIFAR_CLASSES} classes, got {subset}")
+    _check_count(seed, "seed")
+    _check_count(subset, "subset", _CIFAR_CLASSES)  # one row of each class at least
     _check_doubles((subset + max(_CIFAR_CLASSES, subset // 5)) * _RECORD, "the CIFAR-10 subsets")
     train_files = sorted(
         os.path.join(path, f) for f in os.listdir(path)

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ModelConfig, SkipConstruction, SkipKind, _footprint, _input_free_scale, build_block
-from .errors import ContractError, _check_doubles, _check_seed
+from .errors import ConfigError, ContractError, _check_count, _check_doubles
 from .normalization import BatchNormParams, LayerNormParams, batch_norm, layer_norm
 from .ratio import _mean_ratio, ratio_general, unroll_decompose
 from .tensor import (
     Tensor,
     _TOL,
+    _check_labels,
     _check_matmul_shapes,
     _worst,
     add,
@@ -84,9 +85,11 @@ def gradient_norm_sweep(model, batches):
     size, which turns them into per-sample loss gradients; summed in
     block order and divided by the total row count, the result is then
     independent of how the rows were split into batches (for row-local
-    models); a batch of no rows contributes nothing. Batch-normalized
-    models are swept in whatever mode they are in; training mode
-    updates their running statistics as a side effect.
+    models); a batch of no rows contributes nothing. Every batch is
+    checked before the first forward, inputs as a forward would and labels
+    as softmax_cross_entropy would. Batch-normalized models are swept in
+    whatever mode they are in; training mode updates their running
+    statistics as a side effect.
 
     Peak memory is one batch's tape: each batch's tape is freed before
     the next batch's forward, and its backward keeps only the block
@@ -99,42 +102,39 @@ def gradient_norm_sweep(model, batches):
     also when the sweep raises; a parameter frozen by the caller stays
     frozen and gets no gradient.
     """
-    batches = list(batches)
+    batches = _nonempty(model, batches, "gradient_norm_sweep")
+    for x, labels in batches:
+        _check_labels(np.asarray(labels), len(x), model.out_w.data.shape[1])
     params = [p for _, p, _ in model.parameters()]
     flags = [p.requires_grad for p in params]
-    remaining = sum(np.shape(x)[:1] != (0,) for x, _ in batches)  # nonempty batches not yet run
-
-    def block_norms(x, labels):
-        nonlocal remaining
-        remaining -= 1
-        for p, flag in zip(params, flags):
-            p.requires_grad = flag and not remaining
-        return _block_grad_norms(model, x, labels)
-
+    norms, last = [], len(batches) - 1
     try:
-        norms, samples = _row_weighted(model, batches, block_norms, "gradient_norm_sweep")
+        for k, (x, labels) in enumerate(batches):
+            for p, flag in zip(params, flags):
+                p.requires_grad = flag and k == last
+            norms.append(_block_grad_norms(model, np.asarray(x, dtype=np.float64), labels))
     finally:
         for p, flag in zip(params, flags):
             p.requires_grad = flag
-    return GradReport(model.config.construction.label(), norms, samples)
+    return GradReport(model.config.construction.label(), *_row_weighted(batches, norms))
 
 
-def _row_weighted(model, batches, values, what):
-    """The row-weighted mean over (inputs, payload) batches of the
-    per-block ``values(x, payload)``, and the row count. Every batch is
-    shape-checked as a forward would be; one of no rows adds nothing."""
-    totals = np.zeros(len(model.blocks))
-    samples = 0
-    for x, payload in batches:
-        x = np.asarray(x, dtype=np.float64)
+def _nonempty(model, batches, what):
+    """The (inputs as an array, payload) batches of at least one row, once
+    every batch's inputs are shape-checked as a forward would check them."""
+    batches = [(np.asarray(x), payload) for x, payload in batches]
+    for x, _ in batches:
         _check_matmul_shapes(x, model.in_w.data)  # the shape error a forward would raise
-        if x.shape[0] == 0:
-            continue
-        for k, v in enumerate(values(x, payload)):
-            totals[k] += v * x.shape[0]
-        samples += x.shape[0]
-    if samples == 0:
+    batches = [(x, payload) for x, payload in batches if len(x)]
+    if not batches:
         raise ContractError(f"{what} needs a nonempty sample set")
+    return batches
+
+
+def _row_weighted(batches, values):
+    """The row-weighted mean over ``batches`` of their per-block ``values``, and the row count."""
+    samples = sum(len(x) for x, _ in batches)
+    totals = sum(np.multiply(v, len(x)) for (x, _), v in zip(batches, values))
     return tuple(float(t / samples) for t in totals), samples
 
 
@@ -163,13 +163,13 @@ def effective_scale_sweep(model, batches):
     and its batches are only checked for the shape a forward would
     accept. Otherwise every block's witness is captured during the
     one pass that produces the block inputs, and the output
-    projection is never computed. A batch of no rows contributes nothing.
+    projection is never computed. A batch of no rows contributes nothing;
+    every batch is shape-checked before the first forward.
     """
     fixed = [_input_free_scale(block) for block in model.blocks]
-    inputs = ((b[0] if isinstance(b, tuple) else b, None) for b in batches)
-    per_block, samples = _row_weighted(
-        model, inputs, lambda x, _: _witness_scales(model, x, fixed), "effective_scale_sweep"
-    )
+    inputs = _nonempty(model, ((b[0] if isinstance(b, tuple) else b, None) for b in batches), "effective_scale_sweep")
+    scales = [_witness_scales(model, np.asarray(x, dtype=np.float64), fixed) for x, _ in inputs]
+    per_block, samples = _row_weighted(inputs, scales)
     return ScaleReport(model.config.construction.label(), per_block, float(np.mean(per_block)), samples)
 
 
@@ -201,9 +201,7 @@ def amplification_probe(construction, depth, width, seed=0):
     forward are sized, as a model of width-wide projections, before any
     block is drawn.
     """
-    if depth < 1:
-        raise ContractError("amplification probe needs depth >= 1")
-    _check_seed(seed)
+    _check_count(seed, "seed")
     _check_doubles(_footprint(ModelConfig(construction, depth, width, width, width, 1), 2, True), "the probe")
     rng = np.random.default_rng(seed)
     blocks = []
@@ -243,9 +241,8 @@ def gradcheck_battery(instances=20, seed=0):
     a NaN error is the worst and fails its row) and gated at gradcheck's
     fixed tol, 1e-4. The battery is deterministic for a given seed.
     """
-    if instances < 1:
-        raise ContractError(f"gradcheck_battery needs at least one instance per case, got {instances}")
-    _check_seed(seed)
+    _check_count(instances, "instances", 1)
+    _check_count(seed, "seed")
     rng = np.random.default_rng(seed)
 
     def leaf(shape, away=0.0):
@@ -355,12 +352,13 @@ def decomposition_check(lams=(1, 2, 3, 4), width=8, instances=100, seed=0):
     worst absolute deviation of coef_x*x + coef_f*f + const from the
     actual block output; the discrepancy is the worst relative gap
     between ratio_general and coef_x/coef_f where coef_f is nonzero.
-    ``instances`` must be at least one.
+    ``instances`` must be at least one and ``lams`` nonempty.
     """
-    if instances < 1:
-        raise ContractError(f"decomposition_check needs at least one instance per depth, got {instances}")
-    _check_seed(seed)
+    _check_count(instances, "instances", 1)
+    _check_count(seed, "seed")
     constructions = [SkipConstruction(SkipKind.RSKIP_LN, lam=lam) for lam in lams]
+    if not constructions:
+        raise ConfigError("decomposition_check needs at least one lambda")
     rng = np.random.default_rng(seed)
     rows = []
     for construction in constructions:

@@ -1,5 +1,6 @@
-"""Exception types shared across the library, the seed and size checks,
-and the one rule by which the library opens a file a caller names."""
+"""Exception types shared across the library, the one integer check that
+every size, count and seed the library takes passes, the size check, and
+the one rule by which the library opens a file a caller names."""
 
 import errno
 import numbers
@@ -29,11 +30,11 @@ class SingularRatioError(ValueError):
     """A normalization gain entry is exactly zero, making the ratio undefined."""
 
 
-def _check_seed(seed):
-    """Raise ConfigError unless ``seed`` is an integer >= 0, as
-    ``np.random.default_rng`` requires; run it before any random draw."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+def _check_count(value, what, least=0):
+    """Raise ConfigError unless ``value`` is an integer >= ``least``, before
+    anything is sized or drawn from it; a seed's least is 0."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 # the most float64 values a model, what one forward of a batch adds to it

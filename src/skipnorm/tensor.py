@@ -271,8 +271,11 @@ def tsum(a):
     return Tensor(a.data.sum(), a.requires_grad, (a,), "sum", backward)
 
 
-def _check_labels(labels, classes):
-    """Refuse a nonempty label array unless it holds integers in [0, classes)."""
+def _check_labels(labels, rows, classes):
+    """Refuse a label array unless it holds ``rows`` (at least one) integers
+    in [0, classes), each fault with the error softmax_cross_entropy raises."""
+    if labels.shape != (rows,):
+        raise DimensionError(f"labels must have shape ({rows},), got {labels.shape}")
     if labels.dtype.kind not in "iu":
         raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= classes:
@@ -292,9 +295,7 @@ def softmax_cross_entropy(logits, labels):
     batch, classes = logits.data.shape
     if batch == 0:
         raise DimensionError("softmax_cross_entropy needs at least one row")
-    if labels.shape != (batch,):
-        raise DimensionError(f"labels must have shape ({batch},), got {labels.shape}")
-    _check_labels(labels, classes)
+    _check_labels(labels, batch, classes)
 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .blocks import ModelConfig, build_model
-from .errors import ConfigError, ContractError, DimensionError, _check_seed, _open_regular
+from .errors import ConfigError, ContractError, DimensionError, _check_count, _open_regular
 from .tensor import Tensor, _check_labels, no_grad, softmax_cross_entropy
 
 __all__ = [
@@ -57,11 +57,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        if self.epochs < 0:
-            raise ConfigError("epochs cannot be negative")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
+        _check_count(self.seed, "seed")
+        _check_count(self.epochs, "epochs")
+        for name in ("depth", "width", "hidden", "batch_size"):
+            _check_count(getattr(self, name), name, 1)
         if not math.isfinite(self.lr):
             raise ConfigError(f"lr must be a finite number, got {self.lr}")
         if self.lr <= 0:
@@ -141,9 +140,7 @@ def _check_labeled(model, x, y):
     y = np.asarray(y)
     if len(y) != len(x):
         raise DimensionError(f"{len(y)} labels for {len(x)} rows")
-    if y.ndim != 1:
-        raise DimensionError(f"labels must have shape ({len(x)},), got {y.shape}")
-    _check_labels(y, model.out_w.data.shape[1])
+    _check_labels(y, len(x), model.out_w.data.shape[1])
 
 
 def _eval_logits(model, x):

@@ -399,6 +399,14 @@ class TestModel:
         model.set_norm_mode("inference")
         assert all(p.mode == "inference" for b in model.blocks for p in b.norms)
 
+    @pytest.mark.parametrize("construction", ["2rskip-bn", "2rskip-ln"])
+    def test_set_norm_mode_refuses_an_unknown_mode(self, construction):
+        model = build_model(ModelConfig(SkipConstruction.parse(construction), 3, 2, 6, 4, 2), seed=0)
+        modes = [getattr(p, "mode", None) for b in model.blocks for p in b.norms]
+        with pytest.raises(ContractError, match="unknown batch_norm mode 'bogus'"):
+            model.set_norm_mode("bogus")
+        assert [getattr(p, "mode", None) for b in model.blocks for p in b.norms] == modes
+
     def test_whole_model_gradcheck(self):
         from skipnorm import gradcheck, softmax_cross_entropy
 

@@ -509,6 +509,19 @@ class TestOutputsCheckedBeforeTraining:
         assert not (tmp_path / "curves.csv").exists()
 
 
+class TestFlagsCheckedBeforeData:
+    @pytest.mark.parametrize("command, flag, value, named", [
+        ("train", "--epochs", "-1", "epochs must be"),
+        ("train", "--batch-size", "0", "batch_size must be"),
+        ("matrix", "--lr", "0", "learning rate must be"),
+        ("matrix", "--depth", "0", "depth must be"),
+    ])
+    def test_a_bad_flag_is_named_before_a_missing_data_directory(self, tmp_path, command, flag, value, named):
+        argv = [command, "--construction", "plain", "--dataset", "cifar10", "--data-path", str(tmp_path / "none")]
+        code, out, err = run_cli(argv + [flag, value])
+        assert (code, out) == (2, "") and err.startswith("error: ") and named in err, err
+
+
 class TestOutputsCheckedBeforeDiagnostics:
     """An --out target of gradcheck, ratio-check or gradnorm that cannot
     be written exits 2 before the battery, check or sweep runs, with the

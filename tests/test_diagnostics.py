@@ -34,6 +34,8 @@ from skipnorm import (
     relu,
     softmax_cross_entropy,
 )
+from skipnorm import errors
+from skipnorm.blocks import _footprint
 
 
 def toy_model(kind, lam=1.0, depth=6, residual_scale=1.0, seed=0):
@@ -266,16 +268,41 @@ class TestGradientNormSweepFreezing:
         assert parameter_flags(model) == [True] * n
         assert all(p.grad is not None for _, p, _ in model.parameters())
 
-    def test_flags_are_restored_after_an_error_mid_sweep(self, forward_flags):
+    def test_flags_are_restored_after_an_error_mid_sweep(self, forward_flags, monkeypatch):
         model = toy_model(SkipKind.WSKIP_LN, depth=3)
-        batches = toy_batches(n_batches=3)
-        x, labels = batches[1]
-        out_of_range = (x, np.where(np.arange(len(labels)) == 0, 3, labels))
-        with pytest.raises(IndexError):
-            gradient_norm_sweep(model, [batches[0], out_of_range, batches[2]])
+        small, large = toy_batches(n_batches=1, rows=4)[0], toy_batches(n_batches=1, rows=5)[0]
+        # the 4-row forward fits and the 5-row one does not, so the second
+        # batch passes every up-front check and raises inside its forward
+        monkeypatch.setattr(errors, "MAX_DOUBLES", _footprint(model.config, 4, recorded=True))
+        with pytest.raises(ConfigError, match="the forward of the batch would hold"):
+            gradient_norm_sweep(model, [small, large, small])
         n = len(parameter_flags(model))
         assert forward_flags == [[False] * n, [False] * n]
         assert parameter_flags(model) == [True] * n
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda x, y: (x, np.where(np.arange(len(y)) == 0, 3, y)), IndexError),  # a label out of range
+        (lambda x, y: (np.ones((len(x), 3)), y), DimensionError),  # a wrong width
+        (lambda x, y: (x, y[:-1]), DimensionError),  # a wrong label count
+        (lambda x, y: (x, y.astype(float)), ContractError),  # float labels
+    ], ids=["label-out-of-range", "wrong-width", "wrong-label-count", "float-labels"])
+    def test_a_bad_last_batch_raises_before_any_forward(self, bad, error, forward_flags):
+        model = generic_model(ONE_OF_EACH_KIND[SkipKind.RSKIP_BN], 3, 2, 2, 5, 4, 3)
+        good = toy_batches(n_batches=1, rows=4)[0]
+        gradient_norm_sweep(model, [good])  # running statistics moved and every .grad set
+        stats, grads = batch_norm_stats(model), [p.grad.tobytes() for _, p, _ in model.parameters()]
+        forward_flags.clear()
+        with pytest.raises(error):
+            gradient_norm_sweep(model, [good, bad(*good)])
+        assert forward_flags == []
+        assert batch_norm_stats(model) == stats
+        assert [p.grad.tobytes() for _, p, _ in model.parameters()] == grads
+
+    def test_an_effective_scale_sweep_checks_every_batch_first(self, monkeypatch):
+        model = toy_model(SkipKind.RSKIP_LN, lam=2, depth=2)
+        monkeypatch.setattr(type(model.blocks[0]), "witness", lambda *_: pytest.fail("a forward ran"))
+        with pytest.raises(DimensionError):
+            effective_scale_sweep(model, [np.ones((4, 2)), np.ones((4, 3))])
 
     def test_a_frozen_model_stays_frozen_and_is_swept(self):
         frozen, reference = toy_model(SkipKind.XSKIP, lam=2.0), toy_model(SkipKind.XSKIP, lam=2.0)
@@ -541,7 +568,7 @@ class TestAmplificationProbe:
         np.testing.assert_array_equal(grads[0], 2.0**12)
 
     def test_depth_must_be_positive(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             amplification_probe(SkipConstruction(SkipKind.XSKIP, lam=2.0), 0, width=4)
 
 
@@ -578,12 +605,16 @@ class TestBatteries:
         assert gradcheck_battery(instances=2, seed=5) == gradcheck_battery(instances=2, seed=5)
 
     def test_gradcheck_battery_needs_an_instance(self):
-        with pytest.raises(ContractError, match="instance"):
+        with pytest.raises(ConfigError, match="instance"):
             gradcheck_battery(instances=0)
 
     def test_decomposition_check_needs_an_instance(self):
-        with pytest.raises(ContractError, match="instance"):
+        with pytest.raises(ConfigError, match="instance"):
             decomposition_check(lams=(1,), instances=0)
+
+    def test_decomposition_check_needs_a_lambda(self):
+        with pytest.raises(ConfigError, match="at least one lambda"):
+            decomposition_check(lams=(), instances=1)
 
     def test_a_nan_error_fails_its_battery_row(self, monkeypatch):
         from skipnorm import diagnostics

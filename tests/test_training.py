@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from skipnorm import (
+    AffineReluBranch,
     ConfigError,
     ContractError,
     Dataset,
@@ -328,6 +330,51 @@ class TestSeedCheck:
         cfg = ModelConfig(PLAIN, 1, 2, 4, 4, 3)
         same = build_model(cfg, np.int64(3)).in_w.data.tobytes() == build_model(cfg, 3).in_w.data.tobytes()
         assert same and TrainConfig(PLAIN, seed=np.uint8(3)).seed == 3
+
+
+def model_config(**count):
+    geometry = dict(depth=1, d_in=2, width=4, hidden=4, classes=3)
+    return ModelConfig(PLAIN, **{**geometry, **count})
+
+
+RNG = np.random.default_rng(0)
+# every count the library takes but the seed: (the name its error gives, least value, a call taking it)
+COUNTED = {
+    **{f"ModelConfig.{f}": (f, 1, lambda n, f=f: model_config(**{f: n}))
+       for f in ("depth", "width", "hidden", "d_in", "classes")},
+    **{f"TrainConfig.{f}": (f, 1, lambda n, f=f: tiny_cfg(PLAIN, **{f: n}))
+       for f in ("depth", "width", "hidden", "batch_size")},
+    "TrainConfig.epochs": ("epochs", 0, lambda n: tiny_cfg(PLAIN, epochs=n)),
+    "DatasetSpec.classes": ("classes", 2, lambda n: DatasetSpec("spiral", classes=n)),
+    "DatasetSpec.n_train": ("n_train", 1, lambda n: DatasetSpec("spiral", n_train=n)),
+    "DatasetSpec.n_test": ("n_test", 1, lambda n: DatasetSpec("spiral", n_test=n)),
+    "load_cifar10.subset": ("subset", 10, lambda n: load_cifar10("no-such-directory", subset=n)),
+    "gradcheck_battery.instances": ("instances", 1, lambda n: gradcheck_battery(instances=n)),
+    "decomposition_check.instances": ("instances", 1, lambda n: decomposition_check((1,), instances=n)),
+    "AffineReluBranch.init.d": ("width", 1, lambda n: AffineReluBranch.init(n, 4, RNG)),
+    "AffineReluBranch.init.hidden": ("hidden width", 1, lambda n: AffineReluBranch.init(4, n, RNG)),
+    "amplification_probe.depth": ("depth", 1, lambda n: amplification_probe(XSKIP2, n, 2)),
+    "amplification_probe.width": ("width", 1, lambda n: amplification_probe(XSKIP2, 1, n)),
+}
+
+
+class TestCountCheck:
+    @pytest.mark.parametrize("bad", ["least-1", 2.5, float("nan"), "3", None])
+    @pytest.mark.parametrize("name", sorted(COUNTED))
+    def test_a_count_that_is_not_an_integer_at_least_its_least_raises_config_error(self, name, bad):
+        what, least, call = COUNTED[name]
+        value = least - 1 if bad == "least-1" else bad
+        message = f"{what} must be an integer >= {least}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("name", sorted(COUNTED))
+    def test_a_numpy_integer_count_is_a_count(self, name):
+        _, least, call = COUNTED[name]
+        try:
+            call(np.int64(max(least, 3)))
+        except FileNotFoundError:  # the missing directory, reached past every check of the subset
+            assert name == "load_cifar10.subset"
 
 
 def same_float(a, b):
