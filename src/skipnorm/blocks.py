@@ -7,7 +7,6 @@ is a two-layer affine+relu bottleneck, but any differentiable callable
 of matching width works.
 """
 
-import math
 import os
 import struct
 import sys
@@ -17,7 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError, FormatError, _check_count, _check_doubles, _open_regular
+from .errors import (
+    ConfigError, ContractError, DimensionError, FormatError, _check_batch, _check_count, _check_doubles, _check_real,
+    _open_regular,
+)
 from .normalization import BatchNormParams, LayerNormParams, _combine_norm, combine_norm
 from .ratio import RatioWitness, _check_gains, _mean_ratio, _separable_mean
 from .tensor import Tensor, _records, add, matmul, no_grad, relu
@@ -93,16 +95,15 @@ class SkipConstruction:
             raise ConfigError(f"kind must be a SkipKind, got {self.kind!r}")
         row = self._lowered
         if row.a == "lam":
-            if not (math.isfinite(self.lam) and self.lam > 0):
-                raise ConfigError(f"{self.kind.value} requires finite lambda > 0, got {self.lam}")
+            _check_real(self.lam, f"lambda of {self.kind.value}", strict=True)
         elif row.levels == "lam":
-            if self.lam < 1 or not float(self.lam).is_integer():
+            _check_real(self.lam, f"lambda of {self.kind.value}", 1)
+            if not float(self.lam).is_integer():
                 raise ConfigError(f"{self.kind.value} requires integer lambda >= 1, got {self.lam}")
         elif self.lam != 1.0:
             raise ConfigError(f"{self.kind.value} does not use lambda; leave it at 1")
         if row.c == "c":
-            if not (math.isfinite(self.residual_scale) and self.residual_scale > 0):
-                raise ConfigError(f"residual_scale must be finite and positive, got {self.residual_scale}")
+            _check_real(self.residual_scale, "residual_scale", strict=True)
         elif self.residual_scale != 1.0:
             raise ConfigError(f"{self.kind.value} does not use residual_scale; leave it at 1")
 
@@ -315,6 +316,10 @@ class ResidualBlock:
 
     __call__ = forward
 
+    def _shortcut_gain(self):
+        """The shortcut gain a: a float, or a copy of the learned w_skip's values."""
+        return self._a if self.w_skip is None else self.w_skip.data.copy()
+
     def parameters(self):
         if hasattr(self.branch, "parameters"):
             for name, p, decay in self.branch.parameters():
@@ -344,7 +349,7 @@ class ResidualBlock:
             mus=mus,
             gains=tuple([p.gain.data.copy() for p in self.norms]),
             biases=tuple([p.bias.data.copy() for p in self.norms]),
-            a=self._a if self.w_skip is None else self.w_skip.data.copy(),
+            a=self._shortcut_gain(),
             c=self._c,
         )
         return y, f, wit
@@ -376,7 +381,7 @@ def _input_free_scale(block):
     if c.levels > 1:
         return None
     _check_gains([p.gain.data for p in block.norms])
-    return _separable_mean(block._a if block.w_skip is None else block.w_skip.data, block._c, (), ())
+    return _separable_mean(block._shortcut_gain(), block._c, (), ())
 
 
 @dataclass(frozen=True)
@@ -426,13 +431,18 @@ class ResidualModel:
     def project_in(self, x):
         """The input projection x @ in_w + in_b: the first block's input.
 
-        A batch that would add more than MAX_DOUBLES to what the model
-        holds raises ConfigError here, before any of it is allocated. On a
-        tape that counts one step's forward, backward() and SGD step;
-        without one, one block at a time (see ``_footprint``)."""
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        rows = math.prod(x.data.shape[:-1])
+        ``x``, an array or a Tensor, is checked first by the batch rule of
+        ``skipnorm.errors``: rows of d_in finite real numbers, an array
+        converted to C-contiguous float64. A batch that would add more
+        than MAX_DOUBLES to what the model holds raises ConfigError here,
+        before any of it is allocated. On a tape that counts one step's
+        forward, backward() and SGD step; without one, one block at a
+        time (see ``_footprint``)."""
+        if isinstance(x, Tensor):
+            _check_batch(x.data, self.config.d_in)
+        else:
+            x = Tensor(_check_batch(x, self.config.d_in))
+        rows = len(x.data)
         _check_doubles(_footprint(self.config, rows, _records((x, self.in_w, self.in_b))), "the forward of the batch")
         return add(matmul(x, self.in_w), self.in_b)
 

@@ -5,13 +5,12 @@ loader for the CIFAR-10 binary batch format. Everything is double
 precision and reproducible from an explicit seed.
 """
 
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, _check_count, _check_doubles, _open_regular
+from .errors import ConfigError, FormatError, _check_batch, _check_count, _check_doubles, _check_real, _open_regular
 
 __all__ = ["DatasetSpec", "Dataset", "gen_synthetic", "load_cifar10"]
 
@@ -45,19 +44,36 @@ class DatasetSpec:
         _check_count(self.n_test, "n_test", 1)
         if self.classes > min(self.n_train, self.n_test):
             raise ConfigError(f"{self.classes} classes need at least as many train and test samples")
-        if not (math.isfinite(self.noise) and self.noise >= 0):
-            raise ConfigError(f"noise level must be finite and non-negative, got {self.noise}")
+        _check_real(self.noise, "noise")
         # each row is two float64 features and an int64 label
         _check_doubles(3 * (self.n_train + self.n_test), "the dataset")
 
 
 @dataclass
 class Dataset:
+    """A labeled train set and test set of ``classes`` classes.
+
+    Both sets pass the batch rule of ``skipnorm.errors`` when the dataset
+    is made: each holds at least one row, its inputs are finite real
+    numbers as wide as the train set's, and its labels are one integer
+    in [0, classes) per row. The arrays are checked, not converted: each
+    field keeps the array it was given. So ``train``, ``run_matrix`` and
+    the command line refuse bad data before the first epoch, and a NaN
+    in the data is refused, not reported as a diverged run.
+    """
+
     classes: int
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
+
+    def __post_init__(self):
+        _check_count(self.classes, "classes", 1)
+        width = None
+        for x, y in ((self.x_train, self.y_train), (self.x_test, self.y_test)):
+            rows, width = _check_batch(x, width, nonempty=True).shape
+            _check_batch(y, rows, self.classes)
 
     @property
     def d_in(self):

@@ -11,14 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import ModelConfig, SkipConstruction, SkipKind, _footprint, _input_free_scale, build_block
-from .errors import ConfigError, ContractError, _check_count, _check_doubles
+from .errors import ConfigError, ContractError, _check_batch, _check_count, _check_doubles
 from .normalization import BatchNormParams, LayerNormParams, batch_norm, layer_norm
 from .ratio import _mean_ratio, ratio_general, unroll_decompose
 from .tensor import (
     Tensor,
     _TOL,
-    _check_labels,
-    _check_matmul_shapes,
     _worst,
     add,
     ewmul,
@@ -85,9 +83,10 @@ def gradient_norm_sweep(model, batches):
     size, which turns them into per-sample loss gradients; summed in
     block order and divided by the total row count, the result is then
     independent of how the rows were split into batches (for row-local
-    models); a batch of no rows contributes nothing. Every batch is
-    checked before the first forward, inputs as a forward would and labels
-    as softmax_cross_entropy would. Batch-normalized models are swept in
+    models); a batch of no rows contributes nothing. Every batch, an
+    empty one too, is checked by the batch rule of ``skipnorm.errors``
+    before the first forward, inputs as a forward checks them and labels
+    as softmax_cross_entropy does. Batch-normalized models are swept in
     whatever mode they are in; training mode updates their running
     statistics as a side effect.
 
@@ -102,9 +101,7 @@ def gradient_norm_sweep(model, batches):
     also when the sweep raises; a parameter frozen by the caller stays
     frozen and gets no gradient.
     """
-    batches = _nonempty(model, batches, "gradient_norm_sweep")
-    for x, labels in batches:
-        _check_labels(np.asarray(labels), len(x), model.out_w.data.shape[1])
+    batches = _nonempty(model, batches, "gradient_norm_sweep", model.config.classes)
     params = [p for _, p, _ in model.parameters()]
     flags = [p.requires_grad for p in params]
     norms, last = [], len(batches) - 1
@@ -112,23 +109,27 @@ def gradient_norm_sweep(model, batches):
         for k, (x, labels) in enumerate(batches):
             for p, flag in zip(params, flags):
                 p.requires_grad = flag and k == last
-            norms.append(_block_grad_norms(model, np.asarray(x, dtype=np.float64), labels))
+            norms.append(_block_grad_norms(model, x, labels))
     finally:
         for p, flag in zip(params, flags):
             p.requires_grad = flag
     return GradReport(model.config.construction.label(), *_row_weighted(batches, norms))
 
 
-def _nonempty(model, batches, what):
-    """The (inputs as an array, payload) batches of at least one row, once
-    every batch's inputs are shape-checked as a forward would check them."""
-    batches = [(np.asarray(x), payload) for x, payload in batches]
-    for x, _ in batches:
-        _check_matmul_shapes(x, model.in_w.data)  # the shape error a forward would raise
-    batches = [(x, payload) for x, payload in batches if len(x)]
-    if not batches:
+def _nonempty(model, batches, what, classes=None):
+    """The (inputs, labels) batches of at least one row, as the batch rule
+    returns them, once every batch's inputs are checked as a forward checks
+    them and, with ``classes``, its labels as softmax_cross_entropy does."""
+    checked = []
+    for x, labels in batches:
+        x = _check_batch(x, model.config.d_in)
+        if classes is not None:
+            labels = _check_batch(labels, len(x), classes)
+        if len(x):
+            checked.append((x, labels))
+    if not checked:
         raise ContractError(f"{what} needs a nonempty sample set")
-    return batches
+    return checked
 
 
 def _row_weighted(batches, values):
@@ -160,15 +161,15 @@ def effective_scale_sweep(model, batches):
     (inputs, labels) pairs. A batch costs at most one forward, and no
     tape. A one-level block's scale does not depend on the input, so a
     model of such blocks (xSkip+LN, wSkip+LN, LN(x+cF)) runs no forward
-    and its batches are only checked for the shape a forward would
-    accept. Otherwise every block's witness is captured during the
-    one pass that produces the block inputs, and the output
-    projection is never computed. A batch of no rows contributes nothing;
-    every batch is shape-checked before the first forward.
+    and its batches are only checked as a forward would check them.
+    Otherwise every block's witness is captured during the one pass that
+    produces the block inputs, and the output projection is never
+    computed. A batch of no rows contributes nothing; every batch is
+    checked by the batch rule before the first forward.
     """
     fixed = [_input_free_scale(block) for block in model.blocks]
     inputs = _nonempty(model, ((b[0] if isinstance(b, tuple) else b, None) for b in batches), "effective_scale_sweep")
-    scales = [_witness_scales(model, np.asarray(x, dtype=np.float64), fixed) for x, _ in inputs]
+    scales = [_witness_scales(model, x, fixed) for x, _ in inputs]
     per_block, samples = _row_weighted(inputs, scales)
     return ScaleReport(model.config.construction.label(), per_block, float(np.mean(per_block)), samples)
 

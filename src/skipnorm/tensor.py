@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, _check_batch
 
 __all__ = [
     "Tensor",
@@ -225,16 +225,11 @@ def ewmul(a, b):
     return Tensor(a.data * b.data, a.requires_grad or b.requires_grad, (a, b), "ewmul", backward)
 
 
-def _check_matmul_shapes(a, b):
-    """Raise the DimensionError :func:`matmul` raises on arrays ``a @ b``."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents disagree: {a.shape} @ {b.shape}")
-
-
 def matmul(a, b):
-    _check_matmul_shapes(a.data, b.data)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise DimensionError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise DimensionError(f"matmul inner extents disagree: {a.data.shape} @ {b.data.shape}")
 
     def backward(g):
         if a.requires_grad:
@@ -271,31 +266,21 @@ def tsum(a):
     return Tensor(a.data.sum(), a.requires_grad, (a,), "sum", backward)
 
 
-def _check_labels(labels, rows, classes):
-    """Refuse a label array unless it holds ``rows`` (at least one) integers
-    in [0, classes), each fault with the error softmax_cross_entropy raises."""
-    if labels.shape != (rows,):
-        raise DimensionError(f"labels must have shape ({rows},), got {labels.shape}")
-    if labels.dtype.kind not in "iu":
-        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.min() < 0 or labels.max() >= classes:
-        raise IndexError(f"label out of range [0, {classes})")
-
-
 def softmax_cross_entropy(logits, labels):
     """Mean negative log-likelihood of integer class labels.
 
     Computed with max-subtraction so arbitrarily large logits cannot
     overflow. The backward rule is the closed form
-    (softmax - onehot) / batch.
+    (softmax - onehot) / batch. The labels pass the batch rule of
+    ``skipnorm.errors``; the logits, values of the network, are not
+    refused for being non-finite, so a diverging run shows in its loss.
     """
     if logits.data.ndim != 2:
         raise DimensionError(f"logits must be [batch, classes], got {logits.data.shape}")
-    labels = np.asarray(labels)
     batch, classes = logits.data.shape
     if batch == 0:
         raise DimensionError("softmax_cross_entropy needs at least one row")
-    _check_labels(labels, batch, classes)
+    labels = _check_batch(labels, batch, classes)
 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))

@@ -9,7 +9,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import platform
 import time
@@ -18,8 +17,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .blocks import ModelConfig, build_model
-from .errors import ConfigError, ContractError, DimensionError, _check_count, _open_regular
-from .tensor import Tensor, _check_labels, no_grad, softmax_cross_entropy
+from .errors import ConfigError, _check_batch, _check_count, _check_real, _open_regular
+from .tensor import Tensor, no_grad, softmax_cross_entropy
 
 __all__ = [
     "TrainConfig",
@@ -61,10 +60,7 @@ class TrainConfig:
         _check_count(self.epochs, "epochs")
         for name in ("depth", "width", "hidden", "batch_size"):
             _check_count(getattr(self, name), name, 1)
-        if not math.isfinite(self.lr):
-            raise ConfigError(f"lr must be a finite number, got {self.lr}")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        _check_real(self.lr, "learning rate", strict=True)
 
     def milestones(self):
         """Epoch indices where the learning rate decays: halfway and three-quarters."""
@@ -131,16 +127,11 @@ _EVAL_BATCH = 256
 
 
 def _check_labeled(model, x, y):
-    """Refuse, before any forward, an evaluation set with no rows, labels
-    that are not one per row, or labels that are not integers in
-    [0, classes) for the model's output width, the last two as
-    softmax_cross_entropy does."""
-    if len(x) == 0:
-        raise ContractError("evaluation needs at least one row")
-    y = np.asarray(y)
-    if len(y) != len(x):
-        raise DimensionError(f"{len(y)} labels for {len(x)} rows")
-    _check_labels(y, len(x), model.out_w.data.shape[1])
+    """The evaluation set (x, y) as the batch rule returns it, refused
+    before any forward unless x is at least one row of inputs the model
+    takes and y one label per row in [0, classes)."""
+    x = _check_batch(x, model.config.d_in, nonempty=True)
+    return x, _check_batch(y, len(x), model.config.classes)
 
 
 def _eval_logits(model, x):
@@ -175,18 +166,18 @@ def evaluate_loss(model, x, y):
     mode, evaluated without a tape.
 
     A diverging model evaluates to inf rather than warning; the curves
-    carry such entries as data. A set with no rows raises ContractError,
-    a label count other than the row count DimensionError, non-integer
-    labels ContractError and labels outside [0, classes) IndexError.
+    carry such entries as data. The set is checked first by the batch
+    rule of ``skipnorm.errors``, and a set with no rows is a
+    ContractError.
     """
-    _check_labeled(model, x, y)
+    x, y = _check_labeled(model, x, y)
     return _mean_loss(_eval_logits(model, x), y)
 
 
 def evaluate_error(model, x, y):
     """Top-1 classification error rate, batch norms in inference mode,
     evaluated without a tape; refuses the sets :func:`evaluate_loss` does."""
-    _check_labeled(model, x, y)
+    x, y = _check_labeled(model, x, y)
     return _error_rate(_eval_logits(model, x), y)
 
 

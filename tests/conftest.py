@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# CI runs with --hypothesis-profile=ci: every @given test draws the same
+# examples on every run, and a failure prints the blob that reproduces it
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 _ACCEPTANCE_LINES = []
 

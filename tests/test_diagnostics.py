@@ -369,7 +369,7 @@ class TestEffectiveScaleSweep:
         model = toy_model(SkipKind.RSKIP_LN, lam=2, depth=2)
         batch = np.random.default_rng(0).normal(size=(4, 2))
         batch[1, 0] = np.nan
-        with pytest.raises(ContractError, match="sigma must be strictly positive"):
+        with pytest.raises(ContractError, match="inputs must be finite"):
             effective_scale_sweep(model, [batch])
 
 

@@ -377,6 +377,35 @@ class TestCountCheck:
             assert name == "load_cifar10.subset"
 
 
+# every real setting the library takes: (the name its error gives, bound, strict, a call taking it)
+REAL = {
+    "TrainConfig.lr": ("learning rate", 0, True, lambda v: tiny_cfg(PLAIN, lr=v)),
+    "DatasetSpec.noise": ("noise", 0, False, lambda v: DatasetSpec("spiral", noise=v)),
+    **{f"SkipConstruction.lam.{k.value}": (f"lambda of {k.value}", 0, True, lambda v, k=k: SkipConstruction(k, lam=v))
+       for k in (SkipKind.XSKIP, SkipKind.XSKIP_LN, SkipKind.XSKIP_BN)},
+    **{f"SkipConstruction.lam.{k.value}": (f"lambda of {k.value}", 1, False, lambda v, k=k: SkipConstruction(k, lam=v))
+       for k in (SkipKind.RSKIP_LN, SkipKind.RSKIP_BN)},
+    "SkipConstruction.residual_scale": (
+        "residual_scale", 0, True, lambda v: SkipConstruction(SkipKind.CONTRACTED_F_LN, residual_scale=v)),
+}
+
+
+class TestRealCheck:
+    @pytest.mark.parametrize("bad", ["below", float("nan"), float("inf"), float("-inf"), "2", None])
+    @pytest.mark.parametrize("name", sorted(REAL))
+    def test_a_real_that_is_not_finite_and_beyond_its_bound_raises_config_error(self, name, bad):
+        what, bound, strict, call = REAL[name]
+        value = (bound if strict else bound - 0.5) if bad == "below" else bad
+        message = f"{what} must be a finite real number {'>' if strict else '>='} {bound}, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [np.float64(2.0), np.float32(2.0), True], ids=["float64", "float32", "bool"])
+    @pytest.mark.parametrize("name", sorted(REAL))
+    def test_numpy_floats_and_bools_are_real_numbers(self, name, value):
+        REAL[name][3](value)
+
+
 def same_float(a, b):
     """Equal bit patterns, except that any NaN matches any NaN."""
     if math.isnan(a):
