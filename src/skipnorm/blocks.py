@@ -20,7 +20,8 @@ from .errors import (
     ConfigError, ContractError, DimensionError, FormatError, _check_batch, _check_count, _check_doubles, _check_real,
     _open_regular,
 )
-from .normalization import BatchNormParams, LayerNormParams, _combine_norm, combine_norm
+from . import tensor as _tape
+from .normalization import BatchNormParams, LayerNormParams, _chain, _combine_norm
 from .ratio import RatioWitness, _check_gains, _mean_ratio, _separable_mean
 from .tensor import Tensor, _records, add, matmul, no_grad, relu
 
@@ -228,15 +229,16 @@ class AffineReluBranch:
         bit-identical to it. Only x, the hidden activation and the output
         are kept; the relu mask is rebuilt from the activation, which is
         positive exactly where the pre-activation is. With nothing to
-        record (under no_grad, or nothing requires grad) the ops' result
-        is returned as it is."""
+        record (under no_grad, or nothing requires grad) the branch runs
+        as one kernel on raw arrays, the same ufuncs on the same operands
+        in the same order, in place, and only its result becomes a Tensor."""
         w1, b1, w2, b2 = self.w1, self.b1, self.w2, self.b2
         parents = (x, w1, b1, w2, b2)
+        if not _records(parents):
+            return Tensor(_affine_relu(x.data, w1.data, b1.data, w2.data, b2.data))
         with no_grad():
             hidden = relu(add(matmul(x, w1), b1))
             out = add(matmul(hidden, w2), b2)
-        if not _records(parents):
-            return out
         h = hidden.data
 
         def backward(g):
@@ -270,8 +272,29 @@ class AffineReluBranch:
             p.data[...] = 0.0
 
 
+# the built-in branch's own __call__, captured here: a block runs its kernel
+# only for a branch whose class still calls it, so a subclass that overrides
+# __call__, or a patched class attribute, takes the generic path
+_AFFINE_RELU_CALL = AffineReluBranch.__call__
+
+
+def _affine_relu(x, w1, b1, w2, b2):
+    """relu(x @ w1 + b1) @ w2 + b2 on raw arrays: ``matmul``, ``add`` and
+    ``relu``'s ufuncs on the same operands in the same order, each result
+    after a product written in place; returns a fresh array."""
+    h = x @ w1
+    h += b1
+    np.fmax(h, 0.0, out=h)
+    h += 0.0  # -0.0 to +0.0, as relu does
+    z = h @ w2
+    z += b2
+    return z
+
+
 class ResidualBlock:
-    """One residual block: a construction, a branch, and its norms."""
+    """One residual block: a construction, a branch, and its norms. Its
+    norms, w_skip and a built-in branch must fit ``width``; one that does
+    not raises DimensionError when the block is built."""
 
     def __init__(self, construction, branch, norms=(), w_skip=None, *, width):
         self.construction = construction
@@ -297,24 +320,101 @@ class ResidualBlock:
             raise ConfigError(f"{construction.label()} does not take w_skip")
         # y_k = N_k(a*x + c*y_{k-1}) with y_0 = F(x), one level per norm;
         # the unnormalized unit sum x + F stays the tape's plain add
-        self._a = {"1": 1.0, "lam": construction.lam, "w": w_skip}[row.a]
-        self._c = construction.residual_scale
+        self._a = {"1": 1.0, "lam": float(construction.lam), "w": w_skip}[row.a]
+        self._c = float(construction.residual_scale)
         self._sum = not row.norm and row.a == row.c == "1"
+        self._bn = row.norm == "BN"
+        self._check_widths()
+
+    def _check_widths(self):
+        """Raise DimensionError naming the first array that does not fit the
+        block's width: a built-in branch maps width to width through one
+        hidden width, and every norm vector, w_skip and running statistic
+        is width long. Any other branch is left to its own checks."""
+        w, b = self.width, self.branch
+        found, want = [], []
+        builtin = isinstance(b, AffineReluBranch)
+        if builtin:
+            h = b.w1.data.shape[1] if b.w1.data.ndim == 2 else None
+            found += [b.w1.data.shape, b.b1.data.shape, b.w2.data.shape, b.b2.data.shape]
+            want += [(w, h), (h,), (h, w), (w,)]
+        stats = []
+        for p in self.norms:
+            found += [p.gain.data.shape, p.bias.data.shape]
+            if isinstance(p, BatchNormParams):
+                stats += [p.running_mean.shape, p.running_var.shape]
+        if self.w_skip is not None:
+            found.append(self.w_skip.data.shape)
+        found += stats
+        want += [(w,)] * (len(found) - len(want))
+        if found != want:  # name the first misfit: parameters() first, then the running statistics
+            names = [n for n, _, _ in self.parameters() if builtin or not n.startswith("branch.")]
+            names += [f"norm{i}.running_{stat}" for i in range(1, len(self.norms) + 1) for stat in ("mean", "var")]
+            name, got, need = next(t for t in zip(names, found, want) if t[1] != t[2])
+            raise DimensionError(f"{name} has shape {got}, a block of width {w} needs {need}")
 
     def forward(self, x):
-        """Apply the construction on the tape."""
-        if x.data.ndim != 2 or x.data.shape[1] != self.width:
-            raise DimensionError(f"block expects [batch, {self.width}] input, got {x.data.shape}")
-        f = self.branch(x)
-        if self._sum:
-            return add(x, f)
-        # the built-in branch returns a fresh buffer that its backward never
-        # reads, so the combination may overwrite it; any other callable's
-        # output, a subclass's included, is left as it is
-        owned = type(self.branch).__call__ is AffineReluBranch.__call__
-        return _combine_norm(x, f, self._a, self._c, self.norms, None, owned)
+        """Apply the construction on the tape.
+
+        When nothing records (always under no_grad) and the branch is the
+        built-in one, the block runs as one kernel on raw arrays and only
+        its result becomes a Tensor: the branch in place, then the skip
+        chain in the branch output's buffer through the norms' own
+        kernels. These are the ufuncs of the recorded path on the same
+        operands in the same order, so the result is bit-identical to it.
+        On either path an array that no longer fits the block's width
+        raises DimensionError naming it, never numpy's ValueError, with
+        the running statistics as they were."""
+        return self._forward(x, None)[0]
 
     __call__ = forward
+
+    def _forward(self, x, stats_out):
+        """(y, F(x)) of the block; F(x) is None from the kernel unless
+        ``stats_out`` is a list, which also keeps F(x) unwritten and gets
+        each layer-norm level's (mu, sigma), innermost first."""
+        if x.data.ndim != 2 or x.data.shape[1] != self.width:
+            raise DimensionError(f"block expects [batch, {self.width}] input, got {x.data.shape}")
+        keep = stats_out is not None
+        # a batch norm replaces its running statistics, never writes into
+        # them, so a refused call puts back the arrays it found
+        found = [(p, p.running_mean, p.running_var) for p in self.norms] if self._bn else ()
+        try:
+            if self._fused(x):
+                b, a = self.branch, self._a
+                f = _affine_relu(x.data, b.w1.data, b.b1.data, b.w2.data, b.b2.data)
+                a = a.data if isinstance(a, Tensor) else a
+                y = _chain(x.data, f, a, self._c, self.norms, stats_out, not keep)
+                return Tensor(y), Tensor(f) if keep else None
+            f = self.branch(x)
+            if self._sum:
+                return add(x, f), f
+            # the built-in branch returns a fresh buffer that its backward
+            # never reads, so the combination may overwrite it; any other
+            # callable's output is left as it is
+            owned = not keep and type(self.branch).__call__ is _AFFINE_RELU_CALL
+            return _combine_norm(x, f, self._a, self._c, self.norms, stats_out, owned), f
+        except ValueError as exc:  # an op's or numpy's refusal: name the misfit array, if one is
+            for p, mean, var in found:
+                p.running_mean, p.running_var = mean, var
+            if not isinstance(exc, ContractError):
+                self._check_widths()
+            raise
+
+    def _fused(self, x):
+        """Whether a forward on x runs as one kernel: the branch is the
+        built-in one and neither x nor any parameter records a tape."""
+        if type(self.branch).__call__ is not _AFFINE_RELU_CALL:
+            return False
+        if not _tape._recording:
+            return True
+        b = self.branch
+        leaves = (x, b.w1, b.b1, b.w2, b.b2)
+        for p in self.norms:
+            leaves += (p.gain, p.bias)
+        if isinstance(self._a, Tensor):
+            leaves += (self._a,)
+        return not _records(leaves)
 
     def _shortcut_gain(self):
         """The shortcut gain a: a float, or a copy of the learned w_skip's values."""
@@ -339,9 +439,8 @@ class ResidualBlock:
         """
         if not self.construction.uses_ln:
             raise ContractError(f"the witness describes LN blocks, not {self.construction.label()}")
-        f = self.branch(x)  # a wrong width fails here or in combine_norm
         stats = []
-        y = combine_norm(x, f, self._a, self._c, self.norms, stats)
+        y, f = self._forward(x, stats)
         # zip and lists, not tuple(generator): see combine_norm's parents
         mus, sigmas = zip(*stats)
         wit = RatioWitness(

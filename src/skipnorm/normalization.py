@@ -12,7 +12,9 @@ tape node. It runs the same forward and backward kernels as
 equal the composed ops bit for bit. Per level the tape keeps only the
 norm's standardized input xhat and its per-row or per-feature sigma; an
 inner level's output is overwritten by the next level's input, and its
-gradient is handed to the level below without a ``.grad`` copy.
+gradient is handed to the level below without a ``.grad`` copy. The chain
+itself is one private function on raw arrays, which a residual block's
+no-tape kernel calls too.
 """
 
 from dataclasses import dataclass
@@ -255,10 +257,8 @@ def _combine_norm(x, y, a, c, norms, stats_out, owned):
     if learned:
         if a.data.ndim != 1 or x.data.shape[-1:] != a.data.shape:
             raise DimensionError(f"combine_norm: gain {a.data.shape} does not match input {x.data.shape}")
-        ax = x.data * a.data
     else:
         a = float(a)
-        ax = x.data if a == 1.0 else x.data * a
     # concatenated, not tuple(generator): a tuple built from an iterator is
     # allocated at a guessed size and shrunk, which strands its memory in
     # the interpreter's free list of the final size, one tuple per call
@@ -267,25 +267,8 @@ def _combine_norm(x, y, a, c, norms, stats_out, owned):
         parents += (p.gain, p.bias)
     records = _records(parents)
     levels = max(len(norms), 1)
-    backwards = []  # each level's norm backward, innermost first, if the call records
-    z = y.data  # from level 2 on, the previous level's output: a private buffer
-    for k in range(levels):
-        private = k or owned
-        if c != 1.0:
-            z = np.multiply(z, c, out=z if private else None)
-            private = True
-        # a*x + c*y_{k-1}, the operands in the order the composed ops take
-        # them, into z if it is private, else into a fresh array
-        first, second = (z, ax) if ax is x.data and c != 1.0 else (ax, z)
-        z = np.add(first, second, out=z if private else None)
-        if not norms:
-            break
-        if isinstance(norms[k], LayerNormParams):
-            z, grads = _layer_norm_forward(z, norms[k], True, stats_out)
-        else:
-            z, grads = _batch_norm_forward(z, norms[k], True)
-        if records:
-            backwards.append(grads)
+    backwards = [] if records else None  # each level's norm backward, innermost first
+    z = _chain(x.data, y.data, a.data if learned else a, c, norms, stats_out, owned, backwards)
 
     def backward(g):
         shortcut = x.requires_grad or learned and a.requires_grad
@@ -316,3 +299,31 @@ def _combine_norm(x, y, a, c, norms, stats_out, owned):
         y.accumulate_grad(g)
 
     return Tensor(z, records, parents, "combine_norm", backward)
+
+
+def _chain(x, z, a, c, norms, stats_out, owned, backwards=None):
+    """The chain y_k = N_k(a*x + c*y_{k-1}) of :func:`combine_norm` on raw
+    arrays, from y_0 = ``z``; returns y_L. ``a`` is a float or a per-feature
+    array, ``c`` a float. With ``owned``, z's buffer is private to the call
+    and the first level writes into it; every later level works in the
+    previous level's output. If ``backwards`` is a list, each level's norm
+    backward is appended to it, innermost first."""
+    ax = x if isinstance(a, float) and a == 1.0 else x * a
+    for k in range(max(len(norms), 1)):
+        private = k or owned
+        if c != 1.0:
+            z = np.multiply(z, c, out=z if private else None)
+            private = True
+        # a*x + c*y_{k-1}, the operands in the order the composed ops take
+        # them, into z if it is private, else into a fresh array
+        first, second = (z, ax) if ax is x and c != 1.0 else (ax, z)
+        z = np.add(first, second, out=z if private else None)
+        if not norms:
+            break
+        if isinstance(norms[k], LayerNormParams):
+            z, grads = _layer_norm_forward(z, norms[k], True, stats_out)
+        else:
+            z, grads = _batch_norm_forward(z, norms[k], True)
+        if backwards is not None:
+            backwards.append(grads)
+    return z

@@ -11,6 +11,11 @@ Inside ``with no_grad():`` operations compute the same values but record
 nothing: their outputs do not require grad, hold no parents and no
 backward closure, so every intermediate is freed as soon as it is no
 longer referenced. Evaluation, sweeps and finite differences use it.
+A residual block with the built-in branch then calls no op at all: it
+runs as one kernel on raw arrays, the branch in place and the skip chain
+through the norms' own kernels, and makes one Tensor, its output. The
+kernel applies the recorded ops' ufuncs to the same operands in the same
+order, so its output is bit-identical to theirs.
 
 ``backward(retain=...)`` names the interior nodes whose gradients the
 caller will read; every other interior node drops its ``.grad`` as soon
@@ -32,7 +37,9 @@ may be handed to several tensors as their upstream gradient without
 their gradients ever aliasing. Code that assigns ``.grad`` directly
 hands that array over to the tensor.
 
-Everything is double precision. Broadcasting is deliberately restricted
+Everything is double precision: data and backward seeds of a bool,
+integer or float dtype are converted, and any other (complex, str,
+object) raises ContractError. Broadcasting is deliberately restricted
 to the one pattern the residual constructions need: a 1-D vector of
 length ``d`` combined with an array whose trailing axis is ``d``.
 """
@@ -78,6 +85,23 @@ class no_grad:
         _recording = self._previous
 
 
+def _float64(data, what):
+    """``data`` as a float64 array: one already float64 is returned as it
+    is, one of a bool, integer or float dtype is converted, and nested
+    sequences of unequal lengths or any other dtype (complex, str, object)
+    raise ContractError rather than being parsed or losing an imaginary
+    part."""
+    try:
+        data = np.asarray(data)
+    except ValueError as exc:  # nested sequences of unequal lengths
+        raise ContractError(f"{what} is not an array: {exc}") from None
+    if data.dtype != np.float64:
+        if data.dtype.kind not in "biuf":
+            raise ContractError(f"{what} must be real numbers (bool, integer or float), got dtype {data.dtype}")
+        data = np.asarray(data, dtype=np.float64)
+    return data
+
+
 def _records(tensors):
     """Whether an op on these tensors records a tape node."""
     return _recording and any(t.requires_grad for t in tensors)
@@ -86,7 +110,8 @@ def _records(tensors):
 class Tensor:
     """A node of the differentiation tape.
 
-    ``data`` is always a float64 ndarray. ``grad`` is lazily created and
+    ``data`` is always a float64 ndarray: real data of another dtype is
+    converted, and other data is refused. ``grad`` is lazily created and
     accumulates additively: a leaf sums the contributions of backward
     passes until reset, an interior node holds the latest pass's alone.
     Leaf tensors are created directly; interior nodes are created by the
@@ -98,7 +123,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_id")
 
     def __init__(self, data, requires_grad=False, _parents=(), _op="leaf", _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = _float64(data, "tensor data")
         self.grad = None
         self.requires_grad = bool(requires_grad) and (_recording or not _parents)
         self._parents = tuple(_parents) if self.requires_grad else ()
@@ -136,7 +161,7 @@ class Tensor:
                 raise ContractError("backward() without a seed requires a scalar output")
             seed = np.ones_like(self.data)
         else:
-            seed = np.asarray(seed, dtype=np.float64)
+            seed = _float64(seed, "a backward seed")
             if seed.shape != self.data.shape:
                 raise DimensionError(f"seed shape {seed.shape} != output shape {self.data.shape}")
 

@@ -15,9 +15,19 @@ Regenerate (or add) the entry for this environment with
     PYTHONPATH=src python3 tests/ledger_digests.py
 
 A change that moves output bytes on purpose regenerates the ledger and
-says which bytes changed and why.
+says which bytes changed and why. Where the ledger has no entry for the
+machine, compare against a commit instead:
+
+    PYTHONPATH=src python3 tests/ledger_digests.py --against <commit>
+
+exports that commit's tree with ``git archive``, computes its digests and
+this tree's, each in a fresh process, and prints every name whose digest
+differs. It exits 1 when a digest moved while ``tests/ledger.json`` is
+the same as the commit's (bytes moved without a regenerated ledger), 2
+when the commit is unknown, and 0 otherwise.
 """
 
+import argparse
 import contextlib
 import ctypes
 import glob
@@ -28,6 +38,7 @@ import os
 import platform
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -171,7 +182,7 @@ def recorded():
     return next((e["digests"] for e in load_ledger() if e["fingerprint"] == here), None)
 
 
-def main():
+def write_ledger():
     here = fingerprint()
     entries = [e for e in load_ledger() if e["fingerprint"] != here]
     names = [*NAMES, *DEMO_NAMES]
@@ -180,5 +191,70 @@ def main():
     print(f"{LEDGER}: {len(names)} digests for {here}", file=sys.stderr)
 
 
+# run in a fresh process on a tree's src and tests; older trees name no demos
+_PRINT_DIGESTS = (
+    "import json, ledger_digests as l\n"
+    "print(json.dumps({n: l.digest(n) for n in [*l.NAMES, *getattr(l, 'DEMO_NAMES', ())]}))"
+)
+
+
+def _digest_process(tree):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "tests")]))
+    return subprocess.Popen([sys.executable, "-c", _PRINT_DIGESTS], cwd=tree, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _export(commit, into):
+    """Write the tree of ``commit`` into ``into`` with a local git archive;
+    False if git knows no such commit here."""
+    rev = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{commit}^{{commit}}"],
+                         cwd=ROOT, capture_output=True, text=True)
+    if rev.returncode != 0:
+        return False
+    archive = subprocess.run(["git", "archive", "--format=tar", rev.stdout.strip()], cwd=ROOT, capture_output=True,
+                             check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return True
+
+
+def against(commit):
+    """Compare this tree's digests with those of ``commit``'s tree; returns
+    the exit code (see the module docstring)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ref = Path(tmp)
+        if not _export(commit, ref):
+            print(f"unknown commit {commit!r}", file=sys.stderr)
+            return 2
+        digests = []
+        for proc in [_digest_process(tree) for tree in (ref, ROOT)]:  # both run at once
+            out, err = proc.communicate()
+            if proc.returncode != 0:
+                print(err.decode(), file=sys.stderr)
+                raise RuntimeError(f"computing the digests exited {proc.returncode}")
+            digests.append(json.loads(out))
+        old, new = digests
+        ledger_kept = (ref / "tests" / "ledger.json").read_bytes() == LEDGER.read_bytes()
+    moved = sorted(name for name in old.keys() & new.keys() if old[name] != new[name])
+    for name in moved:
+        print(f"{name}: {old[name][:12]} -> {new[name][:12]}")
+    for name in sorted(old.keys() ^ new.keys()):
+        print(f"{name}: only in {'the commit' if name in old else 'this tree'}")
+    if moved and ledger_kept:
+        print(f"{len(moved)} digests moved, but tests/ledger.json is that of {commit}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Record the ledger's digests, or compare them with a commit's.")
+    parser.add_argument("--against", metavar="COMMIT", help="compare with the tree of COMMIT instead of recording")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        write_ledger()
+        return 0
+    return against(args.against)
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -90,6 +90,8 @@ def state(model):
 # batch comes after a good one, train's is its train set, run_matrix's its test set
 ENTRY_POINTS = {
     "forward": ("2rskip-bn", lambda model, x, y: model.forward(x), False),
+    # a caller's Tensor: its dtype is refused when it is made, the rest by the forward
+    "forward-tensor": ("2rskip-bn", lambda model, x, y: model.forward(Tensor(x)), False),
     "evaluate_loss": ("2rskip-bn", evaluate_loss, True),
     "evaluate_error": ("2rskip-bn", evaluate_error, True),
     "gradient_norm_sweep": ("2rskip-bn", lambda model, x, y: gradient_norm_sweep(model, [(X, Y), (x, y)]), True),

@@ -341,6 +341,66 @@ class TestParameterOwnership:
             )
 
 
+class TestWidthCheck:
+    """A block refuses at build any norm, w_skip or built-in branch that
+    does not fit its width, and a forward refuses an array reshaped later
+    with DimensionError on either path, never with numpy's ValueError."""
+
+    def test_a_norm_of_another_width_is_refused_at_build(self):
+        branch = fresh_block(SkipKind.PLAIN, width=4).branch
+        with pytest.raises(DimensionError, match="norm1.gain"):
+            ResidualBlock(SkipConstruction(SkipKind.XSKIP_LN, lam=2.0), branch, [LayerNormParams.create(5)], width=4)
+
+    def test_a_w_skip_of_another_width_is_refused_at_build(self):
+        branch = fresh_block(SkipKind.PLAIN, width=4).branch
+        w_skip = Tensor(np.ones(5), requires_grad=True)
+        with pytest.raises(DimensionError, match="w_skip"):
+            ResidualBlock(SkipConstruction(SkipKind.WSKIP_LN), branch, [LayerNormParams.create(4)], w_skip, width=4)
+
+    def test_a_branch_of_another_width_is_refused_at_build(self):
+        branch = fresh_block(SkipKind.PLAIN, width=5).branch
+        with pytest.raises(DimensionError, match="branch.w1"):
+            ResidualBlock(SkipConstruction(SkipKind.PLAIN), branch, width=4)
+
+    def test_a_custom_branch_is_left_to_its_own_checks(self):
+        block = ResidualBlock(SkipConstruction(SkipKind.PLAIN), lambda v: v, width=4)
+        assert block.forward(leaf(np.ones((2, 4)))).data.tolist() == [[2.0] * 4] * 2
+
+    @pytest.mark.parametrize("token, array, shape", [
+        ("2rskip-bn", "branch.w1", (5, 3)),
+        ("2rskip-bn", "branch.b1", (4,)),
+        ("2rskip-bn", "branch.w2", (3, 5)),
+        ("plain", "branch.b2", (5,)),
+        ("2rskip-bn", "norm2.gain", (5,)),
+        ("2rskip-ln", "norm2.bias", (5,)),
+        ("2rskip-bn", "norm2.running_mean", (5,)),
+        ("2xskip-bn", "norm1.running_var", (3,)),
+        ("wskip-ln", "w_skip", (5,)),
+    ])
+    @pytest.mark.parametrize("mode", ["training", "inference"])
+    @pytest.mark.parametrize("tape", [False, True])
+    def test_an_array_reshaped_later_raises_dimension_error_on_both_paths(self, token, array, shape, mode, tape):
+        block = build_block(SkipConstruction.parse(token), 4, 3, np.random.default_rng(0))
+        for p in block.norms:
+            if isinstance(p, BatchNormParams):
+                p.mode = mode
+        owner, _, name = array.rpartition(".")
+        if name.startswith("running"):
+            setattr(block.norms[int(owner[4:]) - 1], name, np.ones(shape))
+        else:
+            dict((n, p) for n, p, _ in block.parameters())[array].data = np.ones(shape)
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 4)))
+        stats = [(p.running_mean.tobytes(), p.running_var.tobytes()) for p in block.norms if hasattr(p, "mode")]
+        with pytest.raises(DimensionError, match=array.replace(".", r"\.")) as raised:
+            if tape:
+                block.forward(x)
+            else:
+                with no_grad():
+                    block.forward(x)
+        assert raised.type is DimensionError
+        assert [(p.running_mean.tobytes(), p.running_var.tobytes()) for p in block.norms if hasattr(p, "mode")] == stats
+
+
 class TestModel:
     def test_build_is_deterministic(self):
         cfg = ModelConfig(SkipConstruction(SkipKind.XSKIP_LN, lam=2.0), 4, 2, 8, 8, 3)

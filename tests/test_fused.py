@@ -34,7 +34,10 @@ from skipnorm import (
     softmax_cross_entropy,
     tsum,
 )
+from skipnorm import tensor
 from skipnorm.normalization import EPS, MOMENTUM
+
+from ledger_digests import PRESETS  # every preset the ledger pins a checkpoint of
 
 
 def reference_branch(branch, x):
@@ -563,3 +566,133 @@ class TestSgdInPlace:
         sgd_step([("w", p, True)], [v], lr)
         assert p.data is array
         assert bits(p.data) == bits(expected) and bits(v) == bits(expected_v)
+
+
+def moved_model(token, depth, width, rows, seed, bn_mode):
+    """A model with every norm parameter, w_skip and running statistic
+    moved off its init, batch norms in ``bn_mode``, and a batch for it."""
+    rng = np.random.default_rng(seed)
+    model = build_model(ModelConfig(SkipConstruction.parse(token), depth, 3, width, 4, 3), seed)
+    for block in model.blocks:
+        for name, p, _ in block.parameters():
+            if not name.startswith("branch.w"):
+                p.data = p.data + 0.3 * rng.normal(size=p.data.shape)
+        for p in block.norms:
+            if isinstance(p, BatchNormParams):
+                p.running_mean, p.running_var = rng.normal(size=width), rng.uniform(0.5, 2.0, size=width)
+    model.set_norm_mode(bn_mode)
+    return model, rng.normal(size=(rows, 3))
+
+
+def running_stats(model):
+    return [(p.running_mean, p.running_var) for b in model.blocks for p in b.norms if isinstance(p, BatchNormParams)]
+
+
+def tensors_made(call):
+    """The number of Tensors ``call`` creates, read off the id counter."""
+    first = next(tensor._ids)
+    call()
+    return next(tensor._ids) - first - 1
+
+
+class TestNoTapeKernel:
+    """Without a tape a block with the built-in branch runs as one kernel on
+    raw arrays, bit-identical to the recorded path and to the composed ops."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        token=st.sampled_from(PRESETS),
+        bn_mode=st.sampled_from(["training", "inference"]),
+        depth=st.integers(1, 4),
+        width=st.integers(1, 7),
+        rows=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_logits_and_running_statistics_match_the_recorded_and_composed_forwards(
+            self, token, bn_mode, depth, width, rows, seed):
+        model, x = moved_model(token, depth, width, rows, seed, bn_mode)
+        start = running_stats(model)
+
+        def composed():
+            h = model.project_in(x)
+            for block in model.blocks:
+                h = reference_forward(block, h)
+            return add(matmul(h, model.out_w), model.out_b)
+
+        def kernel():
+            with no_grad():
+                return model.forward(x)
+
+        results, taped = [], []
+        for forward in (kernel, lambda: model.forward(x), composed):
+            bns = [p for b in model.blocks for p in b.norms if isinstance(p, BatchNormParams)]
+            for p, (mean, var) in zip(bns, start):
+                p.running_mean, p.running_var = mean, var
+            logits = forward()
+            taped.append(logits.requires_grad)
+            results.append([bits(logits.data)] + [(bits(mean), bits(var)) for mean, var in running_stats(model)])
+        assert taped == [False, True, True]
+        assert results[0] == results[1] == results[2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        token=st.sampled_from([t for t in PRESETS if SkipConstruction.parse(t).uses_ln]),
+        width=st.integers(1, 7),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_witness_is_the_same_with_and_without_a_tape(self, token, width, rows, seed):
+        model, _ = moved_model(token, 1, width, rows, seed, "training")
+        block = model.blocks[0]
+        x = Tensor(np.random.default_rng(seed).normal(size=(rows, width)))
+        with no_grad():
+            untaped = block.witness(x)
+        taped = block.witness(x)
+        assert taped[0].requires_grad and not untaped[0].requires_grad
+        for (y, f, w) in (untaped, taped):
+            assert not np.shares_memory(y.data, f.data)
+        assert bits(untaped[1].data) == bits(taped[1].data) == bits(reference_branch(block.branch, x).data)
+        assert bits(untaped[0].data) == bits(taped[0].data)
+        for field in ("sigmas", "mus"):
+            assert list(map(bits, getattr(untaped[2], field))) == list(map(bits, getattr(taped[2], field)))
+
+    @pytest.mark.parametrize("token", ["plain", "2xskip", "2xskip-ln", "3rskip-ln", "wskip-ln", "2rskip-bn"])
+    def test_a_no_tape_block_forward_creates_one_tensor(self, token):
+        model, _ = moved_model(token, 1, 5, 3, 0, "training")
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 5)), requires_grad=True)
+        with no_grad():
+            assert tensors_made(lambda: model.blocks[0].forward(x)) == 1
+            assert tensors_made(lambda: model.blocks[0].branch(x)) == 1
+        for _, p, _ in model.parameters():  # a tape on, but nothing requires grad
+            p.requires_grad = False
+        bare = Tensor(x.data)
+        assert tensors_made(lambda: model.blocks[0].forward(bare)) == 1
+        assert tensors_made(lambda: model.blocks[0].forward(x)) > 1
+
+    @pytest.mark.parametrize("token", ["plain", "2xskip-ln", "3rskip-ln", "wskip-ln", "2rskip-bn"])
+    def test_a_custom_branch_and_a_patched_call_take_the_generic_path(self, token, monkeypatch):
+        model, _ = moved_model(token, 1, 5, 3, 0, "inference")
+        block = model.blocks[0]
+        x = Tensor(np.random.default_rng(1).normal(size=(3, 5)))
+        with no_grad():
+            expected = bits(block.forward(x).data)
+        builtin, calls = block.branch, []
+
+        def custom(v):
+            calls.append("custom")
+            return reference_branch(builtin, v)
+
+        block.branch = custom
+        with no_grad():
+            assert bits(block.forward(x).data) == expected
+        block.branch = builtin
+        call = AffineReluBranch.__call__
+
+        def patched(branch, v):
+            calls.append("patched")
+            return call(branch, v)
+
+        monkeypatch.setattr(AffineReluBranch, "__call__", patched)
+        with no_grad():
+            assert bits(block.forward(x).data) == expected
+        assert calls == ["custom", "patched"]

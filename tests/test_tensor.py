@@ -559,3 +559,31 @@ class TestFrozenInputs:
                 assert t.grad is None
             else:
                 assert t.grad.tobytes() == all_in.grad.tobytes()
+
+
+class TestRealData:
+    """A Tensor holds float64: real data of another dtype is converted, and
+    data that is not real numbers is refused rather than parsed or cut to
+    its real part."""
+
+    @pytest.mark.filterwarnings("error")  # no ComplexWarning either
+    @pytest.mark.parametrize("data", [np.ones(2) + 1j, np.array(["1.5", "2"]), np.array([1.0, None]),
+                                      [[1.0, 2.0], [3.0]]], ids=["complex", "str", "object", "ragged"])
+    def test_data_and_seeds_that_are_not_real_numbers_are_refused(self, data):
+        with pytest.raises(ContractError):
+            Tensor(data)
+        t = Tensor(np.ones(2), requires_grad=True)
+        out = scale(t, 2.0)
+        with pytest.raises(ContractError):
+            out.backward(data)
+        assert t.grad is None
+
+    @pytest.mark.parametrize("data", [np.arange(3), np.array([True, False]), np.ones(2, dtype=np.float32), 2, [0.5]])
+    def test_real_data_is_converted_to_float64(self, data):
+        t = Tensor(data)
+        assert t.data.dtype == np.float64
+        np.testing.assert_array_equal(t.data, np.asarray(data, dtype=np.float64))
+
+    def test_a_float64_array_is_held_as_it_is(self):
+        a = np.ones((2, 3))
+        assert Tensor(a).data is a
